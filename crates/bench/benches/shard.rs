@@ -1,8 +1,8 @@
 //! Bench: set-sharded replay vs sequential replay.
 //!
 //! Records one LLC reference stream, then replays a 3-policy per-set
-//! suite — LRU, SRRIP, OPT — through `replay_kind_sharded` at 1, 2, 4
-//! and 8 shards. Shard count 1 is the sequential path; the others fan
+//! suite — LRU, SRRIP, OPT — through `run` with `Exec::Shards` at 1, 2,
+//! 4 and 8 shards. Shard count 1 is the sequential path; the others fan
 //! the set ranges out over `scoped_workers`. Sharded replay is
 //! bit-identical to sequential replay (asserted here on the summed miss
 //! counts, and property-tested in `tests/shard_equivalence.rs`), so the
@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 
 use criterion::black_box;
 use llc_policies::PolicyKind;
-use llc_sharing::{record_stream, register_stream, replay_kind_sharded, set_host_thread_override};
+use llc_sharing::{
+    record_stream, register_stream, run, set_host_thread_override, Exec, ReplayDesc,
+};
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
 
@@ -95,8 +97,13 @@ fn main() {
                 set_host_thread_override(Some(1));
                 let start = Instant::now();
                 checksum += black_box(
-                    replay_kind_sharded(&cfg, kind, &stream, shards)
-                        .expect("replay runs")
+                    run(
+                        &cfg,
+                        &[ReplayDesc::plain(kind)],
+                        &stream,
+                        Exec::Shards(shards),
+                    )
+                    .expect("replay runs")[0]
                         .llc
                         .misses(),
                 );
@@ -105,8 +112,13 @@ fn main() {
                 set_host_thread_override(None);
                 let start = Instant::now();
                 checksum += black_box(
-                    replay_kind_sharded(&cfg, kind, &stream, shards)
-                        .expect("replay runs")
+                    run(
+                        &cfg,
+                        &[ReplayDesc::plain(kind)],
+                        &stream,
+                        Exec::Shards(shards),
+                    )
+                    .expect("replay runs")[0]
                         .llc
                         .misses(),
                 );

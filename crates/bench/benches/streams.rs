@@ -23,11 +23,11 @@ use std::time::{Duration, Instant};
 use criterion::black_box;
 use llc_policies::{build_oracle_policy_with_mode, build_policy, PolicyKind, ProtectMode};
 use llc_sharing::{
-    compute_next_use, compute_shared_soon, oracle_window, record_stream, replay_kind,
-    replay_oracle, simulate, NextUseProvider, OracleProvider,
+    compute_annotations, oracle_window, record_stream, run, simulate, Exec, NextUseProvider,
+    OracleProvider, ReplayDesc,
 };
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
-use llc_trace::{App, Scale};
+use llc_trace::{App, Scale, TraceSource};
 
 const APP: App = App::Swaptions;
 const CORES: usize = 4;
@@ -63,6 +63,22 @@ fn time<F: FnMut() -> u64>(samples: usize, mut f: F) -> (Duration, u64) {
     (times[times.len() / 2], checksum)
 }
 
+/// The legacy next-use pre-pass: a full-hierarchy simulation to record
+/// the LLC reference stream, then a scan for each access's next use of
+/// the same block.
+fn compute_next_use<W: TraceSource>(cfg: &HierarchyConfig, trace: W) -> Vec<u64> {
+    let stream = record_stream(cfg, trace).expect("next-use pre-pass runs");
+    compute_annotations(&stream, 0).next_use
+}
+
+/// The legacy shared-soon pre-pass: a full-hierarchy simulation to
+/// record the stream, then a scan for whether a different core touches
+/// each access's block within `window` accesses.
+fn compute_shared_soon<W: TraceSource>(cfg: &HierarchyConfig, trace: W, window: u64) -> Vec<bool> {
+    let stream = record_stream(cfg, trace).expect("shared-soon pre-pass runs");
+    compute_annotations(&stream, window).shared_soon
+}
+
 /// The suite as the runner priced it before the fast path: every policy
 /// regenerates the trace and simulates the whole hierarchy, and the
 /// annotated policies (OPT, oracle) pay an additional full-hierarchy
@@ -82,7 +98,7 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
         .expect("full simulation runs");
         misses += r.llc.misses();
     }
-    let next = compute_next_use(cfg, APP.workload(CORES, SCALE)).expect("next-use pre-pass runs");
+    let next = compute_next_use(cfg, APP.workload(CORES, SCALE));
     let r = simulate(
         cfg,
         build_policy(PolicyKind::Opt, sets, ways),
@@ -92,8 +108,7 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
     )
     .expect("OPT simulation runs");
     misses += r.llc.misses();
-    let shared = compute_shared_soon(cfg, APP.workload(CORES, SCALE), oracle_window(cfg))
-        .expect("shared-soon pre-pass runs");
+    let shared = compute_shared_soon(cfg, APP.workload(CORES, SCALE), oracle_window(cfg));
     let r = simulate(
         cfg,
         build_oracle_policy_with_mode(PolicyKind::Lru, sets, ways, ProtectMode::Eviction),
@@ -111,25 +126,17 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
 /// recording in a single fused scan each).
 fn replay_suite(cfg: &HierarchyConfig) -> u64 {
     let stream = record_stream(cfg, APP.workload(CORES, SCALE)).expect("recording runs");
-    let mut misses = 0;
-    for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        misses += replay_kind(cfg, kind, &stream, vec![])
-            .expect("replay runs")
-            .llc
-            .misses();
-    }
-    misses += replay_oracle(
-        cfg,
-        PolicyKind::Lru,
-        ProtectMode::Eviction,
-        None,
-        &stream,
-        vec![],
-    )
-    .expect("oracle replay runs")
-    .llc
-    .misses();
-    misses
+    let lineup = [
+        ReplayDesc::plain(PolicyKind::Lru),
+        ReplayDesc::plain(PolicyKind::Srrip),
+        ReplayDesc::plain(PolicyKind::Opt),
+        ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(cfg)),
+    ];
+    run(cfg, &lineup, &stream, Exec::Auto)
+        .expect("replay runs")
+        .iter()
+        .map(|r| r.llc.misses())
+        .sum()
 }
 
 fn main() {

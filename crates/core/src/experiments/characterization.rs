@@ -1,12 +1,13 @@
 //! The characterization experiments: `table2` and `fig1`–`fig4`.
 
+use llc_dag::ReplayDesc;
 use llc_policies::PolicyKind;
 use llc_trace::App;
 
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
+use crate::replay::run_observed;
 use crate::report::{f2, mean, pct, Table};
 use crate::runner::RunResult;
 
@@ -20,7 +21,12 @@ fn profile_run(
     let cfg = ctx.config(capacity)?;
     let stream = ctx.stream(app, &cfg)?;
     let mut profile = SharingProfile::new();
-    let result = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
+    let result = run_observed(
+        &cfg,
+        &ReplayDesc::plain(PolicyKind::Lru),
+        &stream,
+        vec![&mut profile],
+    )?;
     Ok((result, profile))
 }
 

@@ -1,14 +1,15 @@
 //! `table1` (machine configuration) and `abl2` (inclusion ablation).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_sim::BLOCK_BYTES;
 
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay_kind, replay_oracle};
+use crate::replay::{run, run_observed, Exec};
 use crate::report::{pct, Table};
-use crate::runner::{simulate_kind, simulate_oracle};
+use crate::runner::{oracle_window, simulate_kind, simulate_oracle};
 
 /// Table 1: the simulated machine.
 pub(crate) fn table1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
@@ -87,7 +88,12 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
                 )?
             } else {
                 let stream = ctx.stream(app, &cfg)?;
-                replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?
+                run_observed(
+                    &cfg,
+                    &ReplayDesc::plain(PolicyKind::Lru),
+                    &stream,
+                    vec![&mut profile],
+                )?
             };
             let oracle = if inclusive {
                 simulate_oracle(
@@ -100,14 +106,9 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
                 )?
             } else {
                 let stream = ctx.stream(app, &cfg)?;
-                replay_oracle(
-                    &cfg,
-                    PolicyKind::Lru,
-                    ProtectMode::Eviction,
-                    None,
-                    &stream,
-                    vec![],
-                )?
+                let desc =
+                    ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg));
+                run(&cfg, &[desc], &stream, Exec::Auto)?.remove(0)
             };
             let gain = 1.0 - oracle.llc.misses() as f64 / lru.llc.misses().max(1) as f64;
             result.push(pct(profile.shared_hit_fraction()));

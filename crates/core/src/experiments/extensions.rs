@@ -2,18 +2,17 @@
 //! prediction-requirement ladder), `abl5` (multi-programmed contrast) and
 //! `fig12` (first-order performance impact).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
-use llc_predictors::{build_predictor, PredictorKind};
+use llc_predictors::PredictorKind;
 use llc_trace::{App, Multiprogram};
 
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
 use crate::model::LatencyModel;
-use crate::replay::{
-    replay_kind, replay_oracle, replay_predictor_wrap, replay_reactive, StreamKey, WorkloadId,
-};
-use crate::report::f3;
-use crate::report::{mean, pct, Table};
+use crate::replay::{run, run_observed, Exec, StreamKey, WorkloadId};
+use crate::report::{f3, mean, pct, Table};
+use crate::runner::oracle_window;
 
 fn miss_reduction(base: u64, improved: u64) -> f64 {
     1.0 - improved as f64 / base.max(1) as f64
@@ -38,33 +37,20 @@ pub(crate) fn abl4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             "reactive/oracle",
         ],
     );
+    // The ladder, rung by rung: base, reactive, best predictor, oracle.
+    let ladder = [
+        ReplayDesc::plain(PolicyKind::Lru),
+        ReplayDesc::reactive(PolicyKind::Lru),
+        ReplayDesc::predictor(PolicyKind::Lru, PredictorKind::PcPhase),
+        ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
+    ];
     let rows: Vec<Vec<f64>> = per_app_try(&ctx.apps, |app| {
         let stream = ctx.stream(app, &cfg)?;
-        let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?
-            .llc
-            .misses();
-        let reactive = replay_reactive(&cfg, PolicyKind::Lru, &stream, vec![])?
-            .llc
-            .misses();
-        let predicted = replay_predictor_wrap(
-            &cfg,
-            PolicyKind::Lru,
-            build_predictor(PredictorKind::PcPhase),
-            &stream,
-            vec![],
-        )?
-        .llc
-        .misses();
-        let oracle = replay_oracle(
-            &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
-            &stream,
-            vec![],
-        )?
-        .llc
-        .misses();
+        let misses: Vec<u64> = run(&cfg, &ladder, &stream, Exec::Auto)?
+            .iter()
+            .map(|r| r.llc.misses())
+            .collect();
+        let (lru, reactive, predicted, oracle) = (misses[0], misses[1], misses[2], misses[3]);
         let rg = miss_reduction(lru, reactive);
         let og = miss_reduction(lru, oracle);
         Ok(vec![
@@ -133,6 +119,8 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         ),
         &["mix", "LRU misses", "oracle gain", "shared-hit%"],
     );
+    let oracle_lru =
+        ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg));
     for (name, apps) in MIXES {
         let key = StreamKey {
             workload: WorkloadId::Mix(name),
@@ -144,15 +132,13 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             .streams
             .get_or_record(key, || Multiprogram::new(&apps, 2, ctx.scale))?;
         let mut profile = crate::characterize::SharingProfile::new();
-        let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
-        let oracle = replay_oracle(
+        let lru = run_observed(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::plain(PolicyKind::Lru),
             &stream,
-            vec![],
+            vec![&mut profile],
         )?;
+        let oracle = run(&cfg, &[oracle_lru], &stream, Exec::Auto)?.remove(0);
         t.row(vec![
             name.to_string(),
             lru.llc.misses().to_string(),
@@ -181,20 +167,17 @@ pub(crate) fn fig12(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         );
         let rows: Vec<(String, f64, f64, f64)> = per_app_try(&ctx.apps, |app| {
             let stream = ctx.stream(app, &cfg)?;
-            let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?;
-            let oracle = replay_oracle(
-                &cfg,
-                PolicyKind::Lru,
-                ProtectMode::Eviction,
-                None,
-                &stream,
-                vec![],
-            )?;
+            let lineup = [
+                ReplayDesc::plain(PolicyKind::Lru),
+                ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
+            ];
+            let results = run(&cfg, &lineup, &stream, Exec::Auto)?;
+            let (lru, oracle) = (&results[0], &results[1]);
             Ok((
                 app.label().to_string(),
-                model.amat(&lru),
-                model.amat(&oracle),
-                model.speedup(&lru, &oracle),
+                model.amat(lru),
+                model.amat(oracle),
+                model.speedup(lru, oracle),
             ))
         })?;
         for (app, a, b, sp) in &rows {

@@ -1,12 +1,13 @@
 //! `fig11`: epoch-resolved sharing for phase-structured applications.
 
+use llc_dag::ReplayDesc;
 use llc_policies::PolicyKind;
 use llc_trace::App;
 
 use crate::epochs::EpochSeries;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
+use crate::replay::run_observed;
 use crate::report::{f3, pct, Table};
 
 /// Number of epochs the time series is resampled to.
@@ -49,7 +50,12 @@ pub(crate) fn fig11(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let stream = ctx.stream(app, &cfg)?;
         let epoch_len = (stream.len() as u64 / SERIES_POINTS as u64).max(1);
         let mut series = EpochSeries::new(epoch_len);
-        replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut series])?;
+        run_observed(
+            &cfg,
+            &ReplayDesc::plain(PolicyKind::Lru),
+            &stream,
+            vec![&mut series],
+        )?;
         let mut cells = vec![app.label().to_string(), f3(series.sharing_burstiness())];
         for i in 0..SERIES_POINTS {
             let v = series

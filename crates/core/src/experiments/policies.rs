@@ -12,7 +12,7 @@ use llc_policies::PolicyKind;
 use crate::awareness::VictimizationStats;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
+use crate::replay::run_observed;
 use crate::report::{f3, geomean, pct, Table};
 
 /// The policy lineup of the comparison figures.
@@ -109,7 +109,7 @@ pub(crate) fn fig6(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let mut cells = vec![app.label().to_string()];
         for &kind in &policies {
             let mut stats = VictimizationStats::new(window);
-            replay_kind(&cfg, kind, &stream, vec![&mut stats])?;
+            run_observed(&cfg, &ReplayDesc::plain(kind), &stream, vec![&mut stats])?;
             cells.push(pct(stats.premature_rate()));
             cells.push(pct(stats.shared_victimization_rate()));
         }

@@ -1,6 +1,7 @@
 //! Predictor experiments: `fig9` (achievable accuracy), `fig10`
 //! (end-to-end gain recovery) and `table3` (hardware budget sweep).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_predictors::{
     build_predictor, build_predictor_with, PredictorKind, PredictorStudy, TableConfig,
@@ -8,8 +9,9 @@ use llc_predictors::{
 
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay_kind, replay_oracle, replay_predictor_wrap};
+use crate::replay::{run, run_observed, Exec};
 use crate::report::{f3, mean, pct, Table};
+use crate::runner::oracle_window;
 
 /// Fig. 9: the paper's predictability study — what accuracy can
 /// fill-time, history-based sharing predictors achieve?
@@ -44,7 +46,12 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let rows = per_app_try(&ctx.apps, |app| {
             let stream = ctx.stream(app, &cfg)?;
             let mut study = PredictorStudy::new(build_predictor(design));
-            replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut study])?;
+            run_observed(
+                &cfg,
+                &ReplayDesc::plain(PolicyKind::Lru),
+                &stream,
+                vec![&mut study],
+            )?;
             let m = study.matrix();
             Ok(vec![
                 app.label().to_string(),
@@ -89,38 +96,27 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             "PC+Phase gain",
         ],
     );
-    let rows: Vec<Vec<f64>> = per_app_try(&ctx.apps, |app| {
-        let stream = ctx.stream(app, &cfg)?;
-        let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?
-            .llc
-            .misses();
-        let red = |m: u64| 1.0 - m as f64 / lru.max(1) as f64;
-        let oracle = replay_oracle(
-            &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
-            &stream,
-            vec![],
-        )?;
-        let mut vals = vec![red(oracle.llc.misses())];
-        for design in [
+    // One lineup per app: LRU, the oracle, then every realistic design.
+    let mut lineup = vec![
+        ReplayDesc::plain(PolicyKind::Lru),
+        ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
+    ];
+    lineup.extend(
+        [
             PredictorKind::Address,
             PredictorKind::Pc,
             PredictorKind::Tournament,
             PredictorKind::Region,
             PredictorKind::PcPhase,
-        ] {
-            let r = replay_predictor_wrap(
-                &cfg,
-                PolicyKind::Lru,
-                build_predictor(design),
-                &stream,
-                vec![],
-            )?;
-            vals.push(red(r.llc.misses()));
-        }
-        Ok(vals)
+        ]
+        .map(|design| ReplayDesc::predictor(PolicyKind::Lru, design)),
+    );
+    let rows: Vec<Vec<f64>> = per_app_try(&ctx.apps, |app| {
+        let stream = ctx.stream(app, &cfg)?;
+        let results = run(&cfg, &lineup, &stream, Exec::Auto)?;
+        let lru = results[0].llc.misses();
+        let red = |m: u64| 1.0 - m as f64 / lru.max(1) as f64;
+        Ok(results[1..].iter().map(|r| red(r.llc.misses())).collect())
     })?;
     for (app, vals) in ctx.apps.iter().zip(&rows) {
         let mut cells = vec![app.label().to_string()];
@@ -182,7 +178,12 @@ pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             let mut cells = vec![app.label().to_string()];
             for (_, table_cfg) in &budgets {
                 let mut study = PredictorStudy::new(build_predictor_with(design, *table_cfg));
-                replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut study])?;
+                run_observed(
+                    &cfg,
+                    &ReplayDesc::plain(PolicyKind::Lru),
+                    &stream,
+                    vec![&mut study],
+                )?;
                 let m = study.matrix();
                 cells.push(format!("{}/{}", pct(m.accuracy()), f3(m.mcc())));
             }

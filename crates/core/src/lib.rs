@@ -8,6 +8,13 @@
 //! * the **runner** with its exact offline pre-passes — Belady next-use
 //!   chains and per-access oracle sharing outcomes
 //!   ([`runner::simulate_opt`], [`runner::simulate_oracle`]);
+//! * the **stream-replay fast path** — record the LLC reference stream
+//!   once ([`record_stream`]), then replay a lineup of policy
+//!   descriptors ([`ReplayDesc`]: a base policy, bare or wrapped by the
+//!   oracle, reactive protection or a predictor) with [`run`] for stats —
+//!   sequentially, over donated workers or set-sharded, as [`Exec`]
+//!   says — or one descriptor with observers attached with
+//!   [`run_observed`];
 //! * the **characterization passes** — hit/occupancy decomposition by
 //!   sharing class ([`SharingProfile`]), premature shared-victimization
 //!   rates ([`VictimizationStats`]), epoch-resolved sharing
@@ -63,21 +70,19 @@ pub use characterize::{ClassTally, SharingProfile};
 pub use epochs::{EpochSeries, EpochStat};
 pub use error::RunError;
 pub use experiments::{per_app, run_experiment, ExperimentCtx, ExperimentId};
+pub use llc_dag::ReplayDesc;
 pub use memo::{record_of, result_of};
 pub use model::LatencyModel;
 pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
-    compute_annotations, record_stream, register_stream, replay, replay_characterized_sharded,
-    replay_kind, replay_kind_sharded, replay_on, replay_opt, replay_opt_sharded, replay_oracle,
-    replay_oracle_sharded, replay_predictor_wrap, replay_reactive, replay_sharded,
-    set_host_thread_override, Annotations, AuxFactory, CachedAccessIter, CachedStream,
-    PolicyFactory, StreamCache, StreamCacheStats, StreamKey, WorkloadId,
+    compute_annotations, record_stream, register_stream, replay_on, run, run_observed,
+    set_host_thread_override, Annotations, CachedAccessIter, CachedStream, Exec, StreamCache,
+    StreamCacheStats, StreamKey, WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{
-    compute_next_use, compute_shared_soon, oracle_window, run_simple, simulate, simulate_kind,
-    simulate_opt, simulate_oracle, simulate_oracle_opt, simulate_predictor_wrap, simulate_reactive,
+    oracle_window, simulate, simulate_kind, simulate_opt, simulate_oracle, simulate_predictor_wrap,
     CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder,
 };
 pub use suite::pool::scoped_workers;

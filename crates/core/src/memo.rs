@@ -12,9 +12,9 @@
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
 //!    the store or computed once with the fused backward scan and
 //!    persisted.
-//! 3. The replay executes through the annotation-injected drivers
-//!    ([`replay_opt_with`]/[`replay_oracle_with`]) and the result is
-//!    persisted as a new replay node.
+//! 3. The replay executes through the same dispatch as
+//!    [`run`](crate::replay::run), with the resolved annotations injected,
+//!    and the result is persisted as a new replay node.
 //!
 //! Bit-identity holds by construction: a replay node stores the exact
 //! counters of the run that produced it, and annotation artifacts store
@@ -26,21 +26,15 @@
 //! Persistence failures only bump counters; corruption is quarantined
 //! inside [`DagStore`] and surfaces here as a miss.
 
-use std::sync::Arc;
-
 use llc_dag::{
     annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc, ReplayRecord,
-    ReplayWrap,
 };
-use llc_policies::PolicyKind;
 use llc_sim::HierarchyConfig;
 use llc_trace::{App, StreamAccess};
 
 use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
-use crate::replay::{
-    compute_annotations, replay_kind, replay_opt_with, replay_oracle_with, CachedStream,
-};
+use crate::replay::{compute_annotations, run_with, CachedStream, Exec, SharedAnnotations, Sink};
 use crate::runner::RunResult;
 
 /// Converts a run result into its storable record.
@@ -76,16 +70,18 @@ fn resolve_annotations<S: StreamAccess>(
     dag: Option<(&DagStore, u64)>,
     stream: &S,
     window: u64,
-) -> (Arc<Vec<u64>>, Arc<Vec<bool>>) {
+) -> SharedAnnotations {
     let Some((dag, stream_fp)) = dag else {
-        let ann = compute_annotations(stream, window);
-        return (Arc::new(ann.next_use), Arc::new(ann.shared_soon));
+        return compute_annotations(stream, window).into();
     };
     let fp = annotations_fp(stream_fp, window);
     if let Some(data) = dag.load_annotations(fp) {
         if data.window == window && data.next_use.len() == stream.len() {
             dag.record_hit(NodeKind::Annotations);
-            return (Arc::new(data.next_use), Arc::new(data.shared_soon));
+            return SharedAnnotations {
+                next_use: data.next_use.into(),
+                shared_soon: data.shared_soon.into(),
+            };
         }
     }
     dag.record_miss(NodeKind::Annotations);
@@ -101,7 +97,7 @@ fn resolve_annotations<S: StreamAccess>(
     if saved.is_err() {
         dag.record_disk_error();
     }
-    (Arc::new(ann.next_use), Arc::new(ann.shared_soon))
+    ann.into()
 }
 
 /// Runs one descriptor over `stream`, resolving any needed annotations
@@ -115,25 +111,10 @@ fn execute<S: StreamAccess + Sync>(
     desc: &ReplayDesc,
     stream: &S,
 ) -> Result<RunResult, RunError> {
-    match desc.wrap {
-        ReplayWrap::Plain if desc.kind == PolicyKind::Opt => {
-            let (next_use, _) = resolve_annotations(dag, stream, 0);
-            replay_opt_with(config, next_use, stream, vec![])
-        }
-        ReplayWrap::Plain => replay_kind(config, desc.kind, stream, vec![]),
-        ReplayWrap::Oracle { mode, window } => {
-            let (next_use, shared_soon) = resolve_annotations(dag, stream, window);
-            replay_oracle_with(
-                config,
-                desc.kind,
-                mode,
-                next_use,
-                shared_soon,
-                stream,
-                vec![],
-            )
-        }
-    }
+    let ann = desc
+        .annotation_window()
+        .map(|window| resolve_annotations(dag, stream, window));
+    run_with(config, desc, ann.as_ref(), stream, Sink::Stats(Exec::Auto))
 }
 
 /// The single point where a [`CachedStream`]'s representation is

@@ -10,9 +10,22 @@
 //! independent of the LLC replacement policy (DESIGN.md "Why pre-passes
 //! are exact"). [`record_stream`] captures that stream (plus the L1/L2
 //! counters and instruction totals, which are equally policy-independent)
-//! from one full-hierarchy run; [`replay`] then drives a bare
-//! [`Llc`] with it, producing **bit-identical** [`LlcStats`] to a full
+//! from one full-hierarchy run; [`run`] then drives a bare [`Llc`] with
+//! it, producing **bit-identical** [`LlcStats`] to a full
 //! [`simulate`](crate::simulate) run of the same policy.
+//!
+//! # One entry point
+//!
+//! Every replay is named by a [`ReplayDesc`]: a base [`PolicyKind`]
+//! plus its wrapper (none, the sharing-aware oracle, reactive
+//! protection, or a fill-time predictor). [`run`] replays a lineup of
+//! descriptors for stats, sequentially, over donated workers
+//! ([`Exec::Auto`]) or over an explicit shard count ([`Exec::Shards`]);
+//! [`run_observed`] replays one descriptor sequentially with observers
+//! attached, for the characterization passes. Both dispatch once per
+//! descriptor to a loop compiled for the concrete policy type.
+//! [`replay_on`] is that loop, public for external and `Box<dyn>`
+//! policies.
 //!
 //! # The inclusive-hierarchy caveat
 //!
@@ -21,7 +34,7 @@
 //! recorded under LRU is only an approximation of what another policy
 //! would see. Recording is still permitted (the oracle pre-passes have
 //! always used exactly this approximation for the `abl2` ablation), but
-//! the replay drivers refuse inclusive configurations — measured runs
+//! replay refuses inclusive configurations — measured runs
 //! must fall back to full simulation there, and
 //! [`simulate_opt`](crate::simulate_opt) /
 //! [`simulate_oracle`](crate::simulate_oracle) do exactly that.
@@ -30,8 +43,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
 use fxhash::FxHashMap;
-use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ProtectMode, ReactiveWrap};
-use llc_predictors::{PredictorWrap, SharingPredictor};
+use llc_dag::{fnv1a64, ReplayDesc, ReplayWrap};
+use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ReactiveWrap};
+use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
     AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, HierarchyConfig, Inclusion, Llc, LlcObserver,
     LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
@@ -47,11 +61,8 @@ use llc_trace::{
 };
 
 use crate::budget;
-use crate::characterize::SharingProfile;
 use crate::error::RunError;
-use crate::runner::{
-    oracle_window, CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder,
-};
+use crate::runner::{CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder};
 use crate::suite::pool::scoped_workers;
 
 /// Global mirrors of [`StreamCacheStats`] plus the stream-recording
@@ -147,7 +158,7 @@ pub fn record_stream<W: TraceSource>(
         let kernel = RecordCmp::new(*config).map_err(SimError::from)?;
         record_stream_with(config, trace, kernel)
     } else {
-        // Inclusive (approximation, see `compute_shared_soon`): the LLC's
+        // Inclusive (approximation, see `oracle_window`): the LLC's
         // back-invalidations shape the stream, so drive the full
         // hierarchy. The recording LLC is a concrete monomorphized LRU.
         let sets = config.llc.sets() as usize;
@@ -292,51 +303,31 @@ fn check_replayable<S: StreamAccess>(config: &HierarchyConfig, stream: &S) -> Re
     Ok(())
 }
 
-/// Replays `policy` over a recorded stream (owned [`RecordedStream`],
-/// zero-copy [`StreamView`] or cache-handle [`CachedStream`] — anything
-/// [`StreamAccess`]): the `LlcOnly` driver. Only the LLC is simulated;
-/// the result's L1/L2 counters and instruction totals come from the
-/// recording. For any non-inclusive configuration the returned
-/// [`LlcStats`](llc_sim::LlcStats) are bit-identical to a full
-/// [`simulate`](crate::simulate) of the same policy over the same
-/// workload — whichever stream representation drives it.
+/// The replay loop: drives `policy` over a recorded stream (owned
+/// [`RecordedStream`], zero-copy [`StreamView`] or cache-handle
+/// [`CachedStream`] — anything [`StreamAccess`]) with only the LLC
+/// simulated; the result's L1/L2 counters and instruction totals come
+/// from the recording. For any non-inclusive configuration the returned
+/// [`LlcStats`] are bit-identical to a full [`simulate`](crate::simulate)
+/// of the same policy over the same workload — whichever stream
+/// representation drives it.
 ///
-/// # Errors
-///
-/// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
-/// (see the module docs), or does not match the stream's fingerprint.
-pub fn replay<S: StreamAccess>(
-    config: &HierarchyConfig,
-    policy: Box<dyn ReplacementPolicy>,
-    aux: Option<Box<dyn AuxProvider>>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    replay_on(
-        config,
-        policy,
-        aux,
-        stream,
-        &mut MultiObserver::new(observers),
-    )
-}
-
-/// The monomorphized replay driver: [`replay`] generic over the concrete
-/// policy *and* observer types, so each (`P`, `O`) pair compiles its own
-/// specialized inner loop — policy callbacks and observer hooks are
-/// static calls (inlined for trivial hooks like [`NullObserver`]'s), and
-/// a policy replayed without an aux provider skips the per-access virtual
-/// `aux_for` call entirely. The `PolicyKind`-driven entry points
-/// ([`replay_kind`] & co.) dispatch here through
-/// [`with_policy!`](llc_policies::with_policy); [`replay`] is the
-/// `Box<dyn>` compatibility wrapper for external policies.
+/// Generic over the concrete policy *and* observer types, so each
+/// (`P`, `O`) pair compiles its own specialized inner loop — policy
+/// callbacks and observer hooks are static calls (inlined for trivial
+/// hooks like [`NullObserver`]'s), and a policy replayed without an aux
+/// provider skips the per-access virtual `aux_for` call entirely.
+/// [`run`] and [`run_observed`] dispatch here through
+/// [`with_policy!`](llc_policies::with_policy); external policies (or a
+/// `Box<dyn ReplacementPolicy>`) can call it directly.
 ///
 /// All telemetry is phase-level: one span per replay, zero atomics on the
 /// per-access path (see `tests/telemetry.rs`).
 ///
 /// # Errors
 ///
-/// Same conditions as [`replay`].
+/// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
+/// (see the module docs), or does not match the stream's fingerprint.
 pub fn replay_on<P, O, S>(
     config: &HierarchyConfig,
     policy: P,
@@ -393,15 +384,6 @@ where
     })
 }
 
-/// A thread-safe factory producing one replacement-policy instance per
-/// shard of a set-sharded replay.
-pub type PolicyFactory<'a> = &'a (dyn Fn() -> Box<dyn ReplacementPolicy> + Sync);
-
-/// A thread-safe factory producing one aux provider per shard of a
-/// set-sharded replay (providers built from [`Arc`]-shared annotation
-/// vectors, so the factories are cheap).
-pub type AuxFactory<'a> = &'a (dyn Fn() -> Box<dyn AuxProvider> + Sync);
-
 /// The largest number of spare workers one replay will borrow from the
 /// donation pool — a sanity bound far above any realistic core count,
 /// not a tuning knob (the pool itself reflects the `--jobs` grant).
@@ -427,8 +409,8 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 }
 
 /// Replays a stream split into contiguous set-range shards, one LLC (and
-/// one policy instance, and one observer) per shard, fanned out over
-/// scoped worker threads — the parallel twin of [`replay_on`].
+/// one policy instance) per shard, fanned out over scoped worker threads
+/// — the parallel twin of [`replay_on`], stats only.
 ///
 /// Each shard's LLC covers only its set range but keeps the full
 /// geometry for indexing, and is driven with the *global* stream index
@@ -437,34 +419,27 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 /// **bit-identical** to the sequential replay: sets never interact, every
 /// timestamp matches, and [`LlcStats`] merging is pure `u64` addition in
 /// fixed shard order. The caller is responsible for the scope check —
-/// the public wrappers ([`replay_kind_sharded`] & co.) fall back to
-/// sequential replay for [`StateScope::Global`] policies.
+/// [`run`] replays [`StateScope::Global`] policies sequentially.
 ///
-/// Generic over the policy factory's return type, so the `PolicyKind`
-/// entry points construct one *concrete* policy per shard — no `Box<dyn>`
-/// allocation and no virtual dispatch inside any shard's loop. The loop
-/// itself walks the shard's own gathered access planes
-/// ([`llc_trace::StreamShard`]) front to back: sequential reads of
-/// shard-compact arrays instead of strided gathers through the full
-/// stream, which is what makes k shards on one host thread cost ~the
-/// sequential replay instead of k× its memory traffic.
-///
-/// Returns the merged result plus the per-shard observers (in ascending
-/// set order) for the caller to merge.
-fn replay_sharded_on<P, O, S, FP, FO>(
+/// Generic over the policy factory's return type, so [`run`] constructs
+/// one *concrete* policy per shard — no `Box<dyn>` allocation and no
+/// virtual dispatch inside any shard's loop. The loop itself walks the
+/// shard's own gathered access planes ([`llc_trace::StreamShard`]) front
+/// to back: sequential reads of shard-compact arrays instead of strided
+/// gathers through the full stream, which is what makes k shards on one
+/// host thread cost ~the sequential replay instead of k× its memory
+/// traffic.
+fn replay_on_shards<P, S, FP>(
     config: &HierarchyConfig,
     make_policy: &FP,
-    make_aux: Option<AuxFactory<'_>>,
+    make_aux: &MakeAux<'_>,
     stream: &S,
     index: &ShardIndex,
-    make_obs: &FO,
-) -> Result<(RunResult, Vec<O>), RunError>
+) -> Result<RunResult, RunError>
 where
     P: ReplacementPolicy,
-    O: LlcObserver + Send,
     S: StreamAccess + Sync,
     FP: Fn() -> P + Sync + ?Sized,
-    FO: Fn() -> O + Sync + ?Sized,
 {
     check_replayable(config, stream)?;
     if index.sets() != config.llc.sets() {
@@ -476,17 +451,16 @@ where
         .into());
     }
     let shards = index.shards();
-    let _span = spans::span_with(|| format!("replay_sharded x{}", shards.len()));
-    let slots: Vec<Mutex<Option<(String, LlcStats, O)>>> =
+    let _span = spans::span_with(|| format!("sharded replay x{}", shards.len()));
+    let slots: Vec<Mutex<Option<(String, LlcStats)>>> =
         shards.iter().map(|_| Mutex::new(None)).collect();
     let run_shard = |w: usize| {
         let shard = &shards[w];
         let _span = spans::span_with(|| format!("shard {w}"));
         let mut llc = Llc::new_range(config.llc, make_policy(), shard.set_base, shard.set_len);
-        if let Some(make_aux) = make_aux {
-            llc.set_aux_provider(make_aux());
+        if let Some(aux) = make_aux() {
+            llc.set_aux_provider(aux);
         }
-        let mut obs = make_obs();
         let upgrades = stream.upgrades();
         let mut up = 0usize;
         let mut next_at = shard
@@ -513,7 +487,6 @@ where
                         break;
                     }
                     llc.note_upgrade(u.block, u.core);
-                    obs.on_upgrade(u.block, u.core);
                     up += 1;
                 }
                 next_at = shard
@@ -522,21 +495,19 @@ where
                     .map_or(u64::MAX, |&u| upgrades[u as usize].at);
             }
             // The shard's logical clock is the *global* stream index, so
-            // every timestamp the policy or observer sees (LRU order,
-            // OPT next-use chains, generation spans) matches the
-            // sequential run exactly.
+            // every timestamp the policy sees (LRU order, OPT next-use
+            // chains) matches the sequential run exactly.
             llc.seek_time(i);
-            llc.access(block, pc, core, kind, &mut obs);
+            llc.access(block, pc, core, kind, &mut NullObserver);
         }
         while up < shard.upgrades.len() {
             let u = &upgrades[shard.upgrades[up] as usize];
             llc.note_upgrade(u.block, u.core);
-            obs.on_upgrade(u.block, u.core);
             up += 1;
         }
         llc.seek_time(stream.len() as u64);
-        llc.flush(&mut obs);
-        *lock_recovering(&slots[w]) = Some((llc.policy().name(), llc.stats(), obs));
+        llc.flush(&mut NullObserver);
+        *lock_recovering(&slots[w]) = Some((llc.policy().name(), llc.stats()));
     };
     // More shards than hardware threads just timeslice against each
     // other (context switches plus cache churn between shard working
@@ -568,9 +539,8 @@ where
     let _merge_span = spans::span("merge shards");
     let mut llc_stats = LlcStats::default();
     let mut policy = String::new();
-    let mut observers = Vec::with_capacity(shards.len());
     for slot in slots {
-        let (name, stats, obs) = slot
+        let (name, stats) = slot
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             // infallible: `scoped_workers` re-raises worker panics, so
@@ -578,41 +548,15 @@ where
             .expect("every shard slot is filled");
         llc_stats += stats;
         policy = name;
-        observers.push(obs);
     }
-    Ok((
-        RunResult {
-            policy,
-            llc: llc_stats,
-            l1: stream.l1_stats(),
-            l2: stream.l2_stats(),
-            instructions: stream.instructions(),
-            trace_accesses: stream.trace_accesses(),
-        },
-        observers,
-    ))
-}
-
-/// Set-sharded replay with no observers: stats only. See
-/// [`replay_sharded_core`] for the exactness argument; the caller is
-/// responsible for only passing per-set-state policies (the `*_sharded`
-/// wrappers check and fall back).
-///
-/// # Errors
-///
-/// Same conditions as [`replay`], plus a config error if `index` was
-/// built for a different set count.
-pub fn replay_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    make_policy: PolicyFactory<'_>,
-    make_aux: Option<AuxFactory<'_>>,
-    stream: &S,
-    index: &ShardIndex,
-) -> Result<RunResult, RunError> {
-    let (result, _) = replay_sharded_on(config, make_policy, make_aux, stream, index, &|| {
-        NullObserver
-    })?;
-    Ok(result)
+    Ok(RunResult {
+        policy,
+        llc: llc_stats,
+        l1: stream.l1_stats(),
+        l2: stream.l2_stats(),
+        instructions: stream.instructions(),
+        trace_accesses: stream.trace_accesses(),
+    })
 }
 
 /// Process-global registry associating streams handed out by a
@@ -713,473 +657,217 @@ fn shard_index_for<S: StreamAccess>(
     }
 }
 
-/// Replays a realistic policy ([`PolicyKind::Opt`] dispatches to
-/// [`replay_opt`]).
+/// How [`run`] executes each replay. Every mode is bit-identical to the
+/// sequential replay — it only decides how many threads one replay may
+/// use. Global-state policies ([`StateScope::Global`]: DIP/DRRIP, SHiP,
+/// the reactive and predictor wrappers) and streams too large to index
+/// always replay sequentially.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// Borrow the spare workers a suite or daemon has donated (see
+    /// [`crate::budget`]) and set-shard over them; replay sequentially
+    /// when none are donated.
+    Auto,
+    /// Split each replay into (at most) this many contiguous set-range
+    /// shards; `0` and `1` replay sequentially.
+    Shards(usize),
+}
+
+/// Replays every descriptor of `descs` over `stream` for stats only,
+/// returning one result per descriptor, in order.
 ///
-/// With no observers attached, a per-set-state policy
-/// ([`StateScope::PerSet`]) automatically borrows any spare workers a
-/// suite or daemon has donated (see [`crate::budget`]) and runs
-/// set-sharded — same bits, less wall-clock. Global-state policies,
-/// observer-carrying runs, and processes that never donate replay
-/// sequentially.
+/// A descriptor that needs an annotation pre-pass (OPT's next-use
+/// chains, the oracle's shared-soon answers) gets it from one fused
+/// backward scan per distinct window in the call, shared by every
+/// replay — and every shard — that needs it. Windows are processed one
+/// at a time, so at most one annotation pair is alive at once.
 ///
 /// # Errors
 ///
-/// Same conditions as [`replay`].
-pub fn replay_kind<S: StreamAccess + Sync>(
+/// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
+/// (see the module docs), or does not match the stream's fingerprint.
+pub fn run<S: StreamAccess + Sync>(
     config: &HierarchyConfig,
-    kind: PolicyKind,
+    descs: &[ReplayDesc],
+    stream: &S,
+    exec: Exec,
+) -> Result<Vec<RunResult>, RunError> {
+    let mut windows = Vec::new();
+    for window in descs.iter().map(ReplayDesc::annotation_window) {
+        if !windows.contains(&window) {
+            windows.push(window);
+        }
+    }
+    let mut results = vec![None; descs.len()];
+    for window in windows {
+        let ann = window.map(|w| SharedAnnotations::from(compute_annotations(stream, w)));
+        for (slot, desc) in results.iter_mut().zip(descs) {
+            if desc.annotation_window() == window {
+                *slot = Some(run_with(
+                    config,
+                    desc,
+                    ann.as_ref(),
+                    stream,
+                    Sink::Stats(exec),
+                )?);
+            }
+        }
+    }
+    // Every descriptor's window was visited, so every slot is filled.
+    Ok(results.into_iter().flatten().collect())
+}
+
+/// Replays one descriptor sequentially with `observers` attached — the
+/// entry point of the characterization passes (sharing profiles,
+/// victimization tallies, epoch series, predictor studies). Observers
+/// see every access, upgrade and generation end in stream order, so this
+/// path never shards.
+///
+/// # Errors
+///
+/// Same conditions as [`run`].
+pub fn run_observed<S: StreamAccess + Sync>(
+    config: &HierarchyConfig,
+    desc: &ReplayDesc,
     stream: &S,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
-    if kind == PolicyKind::Opt {
-        return replay_opt(config, stream, observers);
-    }
+    let ann = desc
+        .annotation_window()
+        .map(|w| SharedAnnotations::from(compute_annotations(stream, w)));
+    run_with(
+        config,
+        desc,
+        ann.as_ref(),
+        stream,
+        Sink::Observed(observers),
+    )
+}
+
+/// Where one dispatched replay sends its events.
+pub(crate) enum Sink<'o> {
+    /// Stats only, executed as [`Exec`] says.
+    Stats(Exec),
+    /// Sequential, every event fanned out to the observers.
+    Observed(Vec<&'o mut dyn LlcObserver>),
+}
+
+/// A thread-safe factory producing the aux provider of one replay (or
+/// of each shard of a set-sharded replay); providers share the
+/// [`Arc`]'d annotation vectors, so the factory is cheap to call.
+type MakeAux<'a> = dyn Fn() -> Option<Box<dyn AuxProvider>> + Sync + 'a;
+
+/// Replays one descriptor with already-resolved annotations — the shared
+/// core of [`run`] and [`run_observed`], and the entry the DAG memo
+/// layer uses to inject cached annotation artifacts. `ann` must be
+/// present exactly when `desc.annotation_window()` is, computed by
+/// [`compute_annotations`] over this exact stream at that window.
+///
+/// The whole descriptor → policy dispatch is this one
+/// [`with_policy!`] match on the wrapper: every arm hands a concrete
+/// policy constructor to [`drive`], so each (base, wrapper) pair runs a
+/// loop monomorphized for its own type.
+pub(crate) fn run_with<S: StreamAccess + Sync>(
+    config: &HierarchyConfig,
+    desc: &ReplayDesc,
+    ann: Option<&SharedAnnotations>,
+    stream: &S,
+    sink: Sink<'_>,
+) -> Result<RunResult, RunError> {
+    debug_assert_eq!(ann.is_some(), desc.annotation_window().is_some());
     let sets = config.llc.sets() as usize;
     let ways = config.llc.ways;
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if observers.is_empty() {
-            if policy.state_scope() == StateScope::PerSet {
-                let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-                if borrowed.count() > 0 {
-                    if let Some(index) =
-                        shard_index_for(stream, config.llc.sets(), borrowed.count() + 1)
-                    {
-                        let (result, _) = replay_sharded_on(
-                            config,
-                            &|| ctor(sets, ways),
-                            None,
-                            stream,
-                            &index,
-                            &|| NullObserver,
-                        )?;
-                        return Ok(result);
-                    }
-                }
-            }
-            replay_on(config, policy, None, stream, &mut NullObserver)
-        } else {
-            replay_on(
+    let opt = desc.kind == PolicyKind::Opt;
+    let oracle = matches!(desc.wrap, ReplayWrap::Oracle { .. });
+    // OPT consumes the next-use chains and the oracle the shared-soon
+    // answers; OPT under the oracle needs both.
+    let make_aux = || -> Option<Box<dyn AuxProvider>> {
+        let ann = ann?;
+        Some(match (oracle, opt) {
+            (true, true) => Box::new(CombinedProvider::shared(
+                Arc::clone(&ann.next_use),
+                Arc::clone(&ann.shared_soon),
+            )),
+            (true, false) => Box::new(OracleProvider::shared(Arc::clone(&ann.shared_soon))),
+            (false, true) => Box::new(NextUseProvider::shared(Arc::clone(&ann.next_use))),
+            (false, false) => return None,
+        })
+    };
+    with_policy!(desc.kind, |ctor| match desc.wrap {
+        ReplayWrap::Plain => drive(config, &|| ctor(sets, ways), &make_aux, stream, sink),
+        ReplayWrap::Oracle { mode, .. } => drive(
+            config,
+            &|| OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
+            &make_aux,
+            stream,
+            sink,
+        ),
+        ReplayWrap::Reactive => drive(
+            config,
+            &|| ReactiveWrap::new(ctor(sets, ways)),
+            &make_aux,
+            stream,
+            sink,
+        ),
+        ReplayWrap::Predictor(predictor) => drive(
+            config,
+            &|| PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
+            &make_aux,
+            stream,
+            sink,
+        ),
+    })
+}
+
+/// Runs one concrete policy: sequentially with observers, or for stats
+/// only — set-sharded when the policy's state is per-set and `exec`
+/// grants more than one shard, sequential otherwise.
+fn drive<P, FP, S>(
+    config: &HierarchyConfig,
+    make_policy: &FP,
+    make_aux: &MakeAux<'_>,
+    stream: &S,
+    sink: Sink<'_>,
+) -> Result<RunResult, RunError>
+where
+    P: ReplacementPolicy,
+    FP: Fn() -> P + Sync,
+    S: StreamAccess + Sync,
+{
+    let policy = make_policy();
+    let exec = match sink {
+        Sink::Observed(observers) => {
+            return replay_on(
                 config,
                 policy,
-                None,
+                make_aux(),
                 stream,
                 &mut MultiObserver::new(observers),
             )
         }
-    })
-}
-
-/// Explicitly set-sharded [`replay_kind`]: splits the stream into (at
-/// most) `shards` set ranges and replays them in parallel. For
-/// [`StateScope::Global`] policies — DIP/DRRIP (global PSEL), SHiP
-/// (global SHCT) — or streams too large to index, this transparently
-/// falls back to the sequential path and still returns the exact result.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_kind_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    if kind == PolicyKind::Opt {
-        return replay_opt_sharded(config, stream, shards);
-    }
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if shards > 1 && policy.state_scope() == StateScope::PerSet {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                // One concrete policy per shard, straight from the
-                // constructor — no per-shard `Box<dyn>` allocation.
-                let (result, _) =
-                    replay_sharded_on(config, &|| ctor(sets, ways), None, stream, &index, &|| {
-                        NullObserver
-                    })?;
-                return Ok(result);
-            }
-        }
-        replay_on(config, policy, None, stream, &mut NullObserver)
-    })
-}
-
-/// Set-sharded [`replay_kind`] that also gathers the paper's sharing
-/// characterization: one [`SharingProfile`] rides along each shard and
-/// the per-shard profiles are merged in fixed shard order. The merge is
-/// exact — every generation ends in exactly one shard with globally
-/// correct timestamps, and blocks never cross sets, so all counters are
-/// disjoint sums and the footprint union is disjoint too. Falls back to
-/// a sequential observer run under the same conditions as
-/// [`replay_kind_sharded`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_characterized_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    stream: &S,
-    shards: usize,
-) -> Result<(RunResult, SharingProfile), RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    // OPT needs its next-use annotations in either path.
-    let next_use =
-        (kind == PolicyKind::Opt).then(|| Arc::new(compute_annotations(stream, 0).next_use));
-    let make_aux = next_use.map(|next_use| {
-        move || Box::new(NextUseProvider::shared(Arc::clone(&next_use))) as Box<dyn AuxProvider>
-    });
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if shards > 1 && policy.state_scope() == StateScope::PerSet {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                let (result, profiles) = replay_sharded_on(
-                    config,
-                    &|| ctor(sets, ways),
-                    make_aux.as_ref().map(|f| f as AuxFactory<'_>),
-                    stream,
-                    &index,
-                    &SharingProfile::new,
-                )?;
-                let mut merged = SharingProfile::new();
-                for profile in &profiles {
-                    merged.merge(profile);
-                }
-                return Ok((result, merged));
-            }
-        }
-        let mut profile = SharingProfile::new();
-        let result = replay_on(
-            config,
-            policy,
-            make_aux.as_ref().map(|f| f()),
-            stream,
-            &mut profile,
-        )?;
-        Ok((result, profile))
-    })
-}
-
-/// Replays Belady's OPT, deriving the next-use chains from the recording
-/// itself (no extra simulation passes). Borrows donated spare workers
-/// for automatic set-sharding exactly like [`replay_kind`] — OPT's
-/// per-line next-use state is per-set, and the annotations are indexed
-/// by global stream position, which sharded replay preserves.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let next_use = Arc::new(compute_annotations(stream, 0).next_use);
-    replay_opt_with(config, next_use, stream, observers)
-}
-
-/// [`replay_opt`] with caller-supplied next-use annotations (the DAG
-/// memo layer injects a cached pre-pass instead of rescanning the
-/// stream). `next_use` must index `stream` positions — i.e. come from
-/// [`compute_annotations`] over this exact stream.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt_with<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    next_use: Arc<Vec<u64>>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    if observers.is_empty() && mono::opt(sets, ways).state_scope() == StateScope::PerSet {
-        let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-        if borrowed.count() > 0 {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), borrowed.count() + 1) {
-                return replay_opt_on(config, &next_use, stream, &index);
-            }
-        }
-        return replay_on(
-            config,
-            mono::opt(sets, ways),
-            Some(Box::new(NextUseProvider::shared(next_use))),
-            stream,
-            &mut NullObserver,
-        );
-    }
-    replay_on(
-        config,
-        mono::opt(sets, ways),
-        Some(Box::new(NextUseProvider::shared(next_use))),
-        stream,
-        &mut MultiObserver::new(observers),
-    )
-}
-
-/// Explicitly set-sharded [`replay_opt`] (the OPT arm of
-/// [`replay_kind_sharded`]).
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let next_use = Arc::new(compute_annotations(stream, 0).next_use);
-    if shards > 1 && mono::opt(sets, ways).state_scope() == StateScope::PerSet {
-        if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-            return replay_opt_on(config, &next_use, stream, &index);
-        }
-    }
-    replay_on(
-        config,
-        mono::opt(sets, ways),
-        Some(Box::new(NextUseProvider::shared(next_use))),
-        stream,
-        &mut NullObserver,
-    )
-}
-
-/// Sharded OPT replay over an already-built index with already-computed
-/// annotations.
-fn replay_opt_on<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    next_use: &Arc<Vec<u64>>,
-    stream: &S,
-    index: &ShardIndex,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let make_aux = {
-        let next_use = Arc::clone(next_use);
-        move || Box::new(NextUseProvider::shared(Arc::clone(&next_use))) as Box<dyn AuxProvider>
+        Sink::Stats(exec) => exec,
     };
-    let (result, _) = replay_sharded_on(
-        config,
-        &|| mono::opt(sets, ways),
-        Some(&make_aux),
-        stream,
-        index,
-        &|| NullObserver,
-    )?;
-    Ok(result)
-}
-
-/// Replays the sharing-aware oracle wrapper around `base`, deriving both
-/// annotation vectors from the recording in a single fused backward scan
-/// (`None` selects [`oracle_window`]). Borrows donated spare workers for
-/// automatic set-sharding exactly like [`replay_kind`]: the oracle
-/// wrapper's own state (per-line protection bits) is per-set, so its
-/// scope is its base policy's scope.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    window: Option<u64>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let window = window.unwrap_or_else(|| oracle_window(config));
-    let ann = compute_annotations(stream, window);
-    replay_oracle_with(
-        config,
-        base,
-        mode,
-        Arc::new(ann.next_use),
-        Arc::new(ann.shared_soon),
-        stream,
-        observers,
-    )
-}
-
-/// [`replay_oracle`] with caller-supplied annotation vectors (the DAG
-/// memo layer injects a cached pre-pass instead of rescanning the
-/// stream). Both vectors must come from [`compute_annotations`] over
-/// this exact stream; the retention window is already baked into
-/// `shared_soon`, so none is passed.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle_with<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    next_use: Arc<Vec<u64>>,
-    shared_soon: Arc<Vec<bool>>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(base, |ctor| {
-        let make_policy = || OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode);
-        // OPT under the oracle needs both annotation vectors; every other
-        // base only consumes the shared-soon answers.
-        let make_aux = || -> Box<dyn AuxProvider> {
-            if base == PolicyKind::Opt {
-                Box::new(CombinedProvider::shared(
-                    Arc::clone(&next_use),
-                    Arc::clone(&shared_soon),
-                ))
-            } else {
-                Box::new(OracleProvider::shared(Arc::clone(&shared_soon)))
-            }
-        };
-        if observers.is_empty() {
-            if make_policy().state_scope() == StateScope::PerSet {
+    if policy.state_scope() == StateScope::PerSet {
+        // Borrowed workers return to the pool when `_borrowed` drops,
+        // after the replay that uses them.
+        let (_borrowed, shards) = match exec {
+            Exec::Auto => {
                 let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-                if borrowed.count() > 0 {
-                    if let Some(index) =
-                        shard_index_for(stream, config.llc.sets(), borrowed.count() + 1)
-                    {
-                        let (result, _) = replay_sharded_on(
-                            config,
-                            &make_policy,
-                            Some(&make_aux),
-                            stream,
-                            &index,
-                            &|| NullObserver,
-                        )?;
-                        return Ok(result);
-                    }
-                }
+                let shards = borrowed.count() + 1;
+                (Some(borrowed), shards)
             }
-            replay_on(
-                config,
-                make_policy(),
-                Some(make_aux()),
-                stream,
-                &mut NullObserver,
-            )
-        } else {
-            replay_on(
-                config,
-                make_policy(),
-                Some(make_aux()),
-                stream,
-                &mut MultiObserver::new(observers),
-            )
-        }
-    })
-}
-
-/// Explicitly set-sharded [`replay_oracle`]. Falls back to the
-/// sequential path when the base policy's state is global or the stream
-/// is not indexable, exactly like [`replay_kind_sharded`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    window: Option<u64>,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let window = window.unwrap_or_else(|| oracle_window(config));
-    let ann = compute_annotations(stream, window);
-    let next_use = Arc::new(ann.next_use);
-    let shared_soon = Arc::new(ann.shared_soon);
-    with_policy!(base, |ctor| {
-        let make_policy = || OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode);
-        let make_aux = || -> Box<dyn AuxProvider> {
-            if base == PolicyKind::Opt {
-                Box::new(CombinedProvider::shared(
-                    Arc::clone(&next_use),
-                    Arc::clone(&shared_soon),
-                ))
-            } else {
-                Box::new(OracleProvider::shared(Arc::clone(&shared_soon)))
-            }
+            Exec::Shards(shards) => (None, shards),
         };
-        if shards > 1 && make_policy().state_scope() == StateScope::PerSet {
+        if shards > 1 {
             if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                let (result, _) = replay_sharded_on(
-                    config,
-                    &make_policy,
-                    Some(&make_aux),
-                    stream,
-                    &index,
-                    &|| NullObserver,
-                )?;
-                return Ok(result);
+                // Each shard builds its own policy; this one only
+                // answered the scope question.
+                drop(policy);
+                return replay_on_shards(config, make_policy, make_aux, stream, &index);
             }
         }
-        replay_on(
-            config,
-            make_policy(),
-            Some(make_aux()),
-            stream,
-            &mut NullObserver,
-        )
-    })
-}
-
-/// Replays reactive (directory-driven, prediction-free) sharing
-/// protection around `base`.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_reactive<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    // ReactiveWrap's directory state is global, so no sharding arm.
-    with_policy!(base, |ctor| replay_on(
-        config,
-        ReactiveWrap::new(ctor(sets, ways)),
-        None,
-        stream,
-        &mut MultiObserver::new(observers),
-    ))
-}
-
-/// Replays a predictor-driven sharing-aware wrapper around `base`.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_predictor_wrap<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    predictor: Box<dyn SharingPredictor>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(base, |ctor| replay_on(
-        config,
-        PredictorWrap::new(ctor(sets, ways), predictor, sets, ways),
-        None,
-        stream,
-        &mut MultiObserver::new(observers),
-    ))
+    }
+    replay_on(config, policy, make_aux(), stream, &mut NullObserver)
 }
 
 /// Both offline annotation vectors, produced by one fused backward scan
@@ -1195,9 +883,9 @@ pub struct Annotations {
 }
 
 /// Computes `next_use` and `shared_soon` in **one** backward scan over
-/// `stream` — the fused form of the runner's historical
-/// `compute_next_use` + `compute_shared_soon` pre-passes, which each ran
-/// their own full simulation plus scan.
+/// `stream` — the fused form of the runner's historical next-use and
+/// shared-soon pre-passes, which each ran their own full simulation plus
+/// scan.
 ///
 /// The fusion is exact because both annotations are functions of the same
 /// per-block recurrence: walking the stream backwards, keep for each
@@ -1248,6 +936,23 @@ pub fn compute_annotations<S: StreamAccess>(stream: &S, window: u64) -> Annotati
     }
 }
 
+/// [`Annotations`] behind [`Arc`]s, so every replay of a call and every
+/// shard of a sharded replay share one copy.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedAnnotations {
+    pub(crate) next_use: Arc<Vec<u64>>,
+    pub(crate) shared_soon: Arc<Vec<bool>>,
+}
+
+impl From<Annotations> for SharedAnnotations {
+    fn from(ann: Annotations) -> Self {
+        SharedAnnotations {
+            next_use: Arc::new(ann.next_use),
+            shared_soon: Arc::new(ann.shared_soon),
+        }
+    }
+}
+
 /// Identity of a workload for stream-cache keying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadId {
@@ -1265,17 +970,6 @@ impl WorkloadId {
             WorkloadId::Mix(name) => name,
         }
     }
-}
-
-/// FNV-1a over a byte string; folded into the splitmix chain of
-/// [`StreamKey::fingerprint`] so workload names contribute stably.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Cache key: workload identity × thread count × scale × hierarchy.
@@ -1320,7 +1014,7 @@ impl StreamKey {
 /// held — and the whole dispatch cost is one predicted branch per record
 /// inside [`CachedAccessIter`]. Callers that want the branch gone
 /// entirely (the daemon's memo path) match once and hand the inner
-/// stream to the monomorphized drivers directly.
+/// stream to [`run`] directly.
 #[derive(Debug, Clone)]
 pub enum CachedStream {
     /// A stream recorded in this process: plane vectors, registered in
@@ -1845,8 +1539,11 @@ fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llc_policies::ProtectMode;
     use llc_sim::LlcStats;
     use llc_trace::{App, Scale};
+
+    use crate::runner::oracle_window;
 
     fn cfg() -> HierarchyConfig {
         HierarchyConfig::tiny()
@@ -1862,11 +1559,19 @@ mod tests {
             .llc
     }
 
+    fn run_one<S: StreamAccess + Sync>(
+        c: &HierarchyConfig,
+        desc: ReplayDesc,
+        stream: &S,
+    ) -> Result<RunResult, RunError> {
+        Ok(run(c, &[desc], stream, Exec::Auto)?.remove(0))
+    }
+
     #[test]
     fn replay_matches_full_simulation_for_every_policy_kind() {
         let c = cfg();
         let stream = stream_of(App::Bodytrack);
-        for kind in [
+        let kinds = [
             PolicyKind::Lru,
             PolicyKind::Random,
             PolicyKind::Nru,
@@ -1875,8 +1580,11 @@ mod tests {
             PolicyKind::Dip,
             PolicyKind::Ship,
             PolicyKind::Opt,
-        ] {
-            let fast = replay_kind(&c, kind, &stream, vec![]).expect("replay");
+        ];
+        let descs: Vec<ReplayDesc> = kinds.iter().map(|&k| ReplayDesc::plain(k)).collect();
+        let lineup = run(&c, &descs, &stream, Exec::Auto).expect("replay");
+        assert_eq!(lineup.len(), kinds.len());
+        for (kind, fast) in kinds.into_iter().zip(lineup) {
             assert_eq!(fast.llc, full_sim(kind, App::Bodytrack), "{kind} diverged");
             assert_eq!(fast.instructions, stream.instructions);
             assert_eq!(fast.trace_accesses, stream.trace_accesses);
@@ -1884,12 +1592,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_oracle_matches_full_simulation() {
+    fn oracle_descriptor_matches_full_simulation() {
         let c = cfg();
         let stream = stream_of(App::Streamcluster);
         for base in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-            let fast = replay_oracle(&c, base, ProtectMode::Eviction, None, &stream, vec![])
-                .expect("replay");
+            let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, oracle_window(&c));
+            let fast = run_one(&c, desc, &stream).expect("replay");
             let slow = crate::runner::simulate_oracle(
                 &c,
                 base,
@@ -1904,18 +1612,46 @@ mod tests {
     }
 
     #[test]
-    fn fused_annotations_match_legacy_pre_passes() {
+    fn wrapped_descriptors_match_full_simulation() {
+        use llc_predictors::PredictorKind;
         let c = cfg();
-        let window = 64;
-        let stream = stream_of(App::Dedup);
-        let ann = compute_annotations(&stream, window);
-        let next_legacy = crate::runner::compute_next_use(&c, App::Dedup.workload(4, Scale::Tiny))
-            .expect("legacy next-use");
-        let shared_legacy =
-            crate::runner::compute_shared_soon(&c, App::Dedup.workload(4, Scale::Tiny), window)
-                .expect("legacy shared-soon");
-        assert_eq!(ann.next_use, next_legacy);
-        assert_eq!(ann.shared_soon, shared_legacy);
+        let app = App::Bodytrack;
+        let stream = stream_of(app);
+        let (sets, ways) = (c.llc.sets() as usize, c.llc.ways);
+        let descs = [
+            ReplayDesc::reactive(PolicyKind::Lru),
+            ReplayDesc::predictor(PolicyKind::Lru, PredictorKind::PcPhase),
+        ];
+        // Both wrappers keep global state, so the shard request must
+        // fall back to the sequential loop.
+        let fast = run(&c, &descs, &stream, Exec::Shards(4)).expect("replay");
+        let reactive = crate::runner::simulate(
+            &c,
+            llc_policies::build_reactive_policy(PolicyKind::Lru, sets, ways),
+            None,
+            app.workload(4, Scale::Tiny),
+            vec![],
+        )
+        .expect("simulate reactive");
+        let predicted = crate::runner::simulate_predictor_wrap(
+            &c,
+            PolicyKind::Lru,
+            build_predictor(PredictorKind::PcPhase),
+            &mut || app.workload(4, Scale::Tiny),
+            vec![],
+        )
+        .expect("simulate predictor");
+        assert_eq!(fast[0].llc, reactive.llc);
+        assert_eq!(fast[0].policy, reactive.policy);
+        assert_eq!(fast[1].llc, predicted.llc);
+        assert_eq!(fast[1].policy, predicted.policy);
+        // The observed path replays the same bits while feeding observers.
+        for (desc, stats) in descs.iter().zip(&fast) {
+            let mut profile = crate::characterize::SharingProfile::new();
+            let observed = run_observed(&c, desc, &stream, vec![&mut profile]).expect("observe");
+            assert_eq!(&observed, stats, "{}", desc.label());
+            assert!(profile.generations() > 0);
+        }
     }
 
     #[test]
@@ -1924,13 +1660,13 @@ mod tests {
         let mut inclusive = cfg();
         inclusive.inclusion = Inclusion::Inclusive;
         assert!(matches!(
-            replay_kind(&inclusive, PolicyKind::Lru, &stream, vec![]),
+            run_one(&inclusive, ReplayDesc::plain(PolicyKind::Lru), &stream),
             Err(RunError::Sim(SimError::Config(_)))
         ));
         let mut other = cfg();
         other.llc = llc_sim::CacheConfig::from_kib(128, 8).expect("valid");
         assert!(matches!(
-            replay_kind(&other, PolicyKind::Lru, &stream, vec![]),
+            run_one(&other, ReplayDesc::plain(PolicyKind::Lru), &stream),
             Err(RunError::Sim(SimError::Config(_)))
         ));
     }
@@ -2173,8 +1909,9 @@ mod tests {
         let bytes = stream.to_vec().expect("encode");
         let back = RecordedStream::from_slice(&bytes).expect("decode");
         assert_eq!(back, stream);
-        let a = replay_kind(&c, PolicyKind::Ship, &stream, vec![]).expect("replay");
-        let b = replay_kind(&c, PolicyKind::Ship, &back, vec![]).expect("replay decoded");
+        let ship = ReplayDesc::plain(PolicyKind::Ship);
+        let a = run_one(&c, ship, &stream).expect("replay");
+        let b = run_one(&c, ship, &back).expect("replay decoded");
         assert_eq!(a.llc, b.llc);
     }
 }

@@ -24,9 +24,9 @@
 
 use std::sync::Arc;
 
+use llc_dag::ReplayDesc;
 use llc_policies::{
-    build_oracle_policy_with_mode, build_policy, build_reactive_policy, OracleWrap, PolicyKind,
-    ProtectMode,
+    build_oracle_policy_with_mode, build_policy, OracleWrap, PolicyKind, ProtectMode,
 };
 use llc_predictors::{PredictorWrap, SharingPredictor};
 use llc_sim::{
@@ -36,7 +36,7 @@ use llc_sim::{
 use llc_trace::{TraceSource, UpgradeEvent};
 
 use crate::error::RunError;
-use crate::replay::{compute_annotations, record_stream, replay_opt, replay_oracle};
+use crate::replay::{compute_annotations, record_stream, run_observed};
 
 /// Aggregate result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +159,7 @@ where
     if config.inclusion == Inclusion::Inclusive {
         let sets = config.llc.sets() as usize;
         let ways = config.llc.ways;
-        let next_use = compute_next_use(config, make_trace())?;
+        let next_use = compute_annotations(&record_stream(config, make_trace())?, 0).next_use;
         return simulate(
             config,
             build_policy(PolicyKind::Opt, sets, ways),
@@ -169,7 +169,12 @@ where
         );
     }
     let stream = record_stream(config, make_trace())?;
-    replay_opt(config, &stream, observers)
+    run_observed(
+        config,
+        &ReplayDesc::plain(PolicyKind::Opt),
+        &stream,
+        observers,
+    )
 }
 
 /// Runs the sharing-aware oracle wrapper around `base`.
@@ -191,16 +196,17 @@ where
     W: TraceSource,
     F: FnMut() -> W,
 {
+    let window = window.unwrap_or_else(|| oracle_window(config));
     if config.inclusion != Inclusion::Inclusive {
         // Fast path: one recording, fused annotations, LLC-only replay.
         // (Historically `base == Opt` here cost THREE full pre-pass
         // simulations; the recording now happens exactly once.)
         let stream = record_stream(config, make_trace())?;
-        return replay_oracle(config, base, mode, window, &stream, observers);
+        let desc = ReplayDesc::oracle(base, mode, window);
+        return run_observed(config, &desc, &stream, observers);
     }
     let sets = config.llc.sets() as usize;
     let ways = config.llc.ways;
-    let window = window.unwrap_or_else(|| oracle_window(config));
     // Inclusive: the stream depends on the policy, so the measured run
     // must be a full simulation — but both annotation vectors still come
     // from a single recording of the LRU-run approximation.
@@ -234,56 +240,6 @@ where
     )
 }
 
-/// Runs the oracle wrapper around Belady's OPT (needs both annotation
-/// kinds). Of theoretical interest only: OPT is already optimal, so the
-/// wrapper's victim restriction can only *add* misses. The integration
-/// tests assert exactly this one-sided bound — it is the quantitative
-/// form of "OPT is naturally sharing-aware: there is nothing left for the
-/// oracle to protect".
-pub fn simulate_oracle_opt<W, F>(
-    config: &HierarchyConfig,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    simulate_oracle(
-        config,
-        PolicyKind::Opt,
-        ProtectMode::Eviction,
-        None,
-        make_trace,
-        observers,
-    )
-}
-
-/// Runs reactive (directory-driven, prediction-free) sharing protection
-/// around `base`: lines whose current generation is already shared are
-/// protected. The gap between this and the oracle is the part of the gain
-/// that genuinely requires fill-time prediction (experiment `abl4`).
-pub fn simulate_reactive<W, F>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    simulate(
-        config,
-        build_reactive_policy(base, sets, ways),
-        None,
-        make_trace(),
-        observers,
-    )
-}
-
 /// Runs a predictor-driven sharing-aware wrapper around `base` (the
 /// realistic end-to-end configuration of experiment `fig10`).
 pub fn simulate_predictor_wrap<W, F>(
@@ -308,54 +264,29 @@ where
     simulate(config, policy, None, make_trace(), observers)
 }
 
-/// Records the LLC reference stream and computes, for each access, the
-/// stream index of the next access to the same block.
-pub fn compute_next_use<W: TraceSource>(
-    config: &HierarchyConfig,
-    trace: W,
-) -> Result<Vec<u64>, RunError> {
-    let stream = record_stream(config, trace)?;
-    Ok(compute_annotations(&stream, 0).next_use)
-}
-
-/// Computes the oracle's answer vector from the (policy-independent) LLC
-/// reference stream: `outcome[t]` is `true` iff the block accessed at
-/// stream position `t` is touched by a *different core* within the next
-/// `window` LLC accesses.
-///
-/// This is the precise form of the paper's fill-time oracle question —
-/// "will this block be shared during its residency?" — made
-/// policy-independent by bounding "residency" with a retention horizon
-/// proportional to the LLC capacity (see [`oracle_window`]). Because the
-/// horizon grows with the cache, a larger LLC lets the oracle protect
-/// shared blocks with longer re-reference distances, which is exactly why
-/// the paper's oracle gains are larger at 8 MB than at 4 MB.
-///
-/// With an [`Inclusion::Inclusive`](llc_sim::Inclusion) hierarchy the LLC
-/// reference stream is *not* policy-independent (back-invalidations feed
-/// back into the private caches), so the annotations are an approximation
-/// there — the `abl2` ablation quantifies the effect.
-pub fn compute_shared_soon<W: TraceSource>(
-    config: &HierarchyConfig,
-    trace: W,
-    window: u64,
-) -> Result<Vec<bool>, RunError> {
-    let stream = record_stream(config, trace)?;
-    Ok(compute_annotations(&stream, window).shared_soon)
-}
-
 /// The default oracle retention horizon for a hierarchy: four times the
 /// number of LLC lines. A block re-referenced within this many LLC
 /// accesses is plausibly retainable; the factor is swept in the `abl1`
 /// ablation.
+///
+/// The horizon makes the paper's fill-time oracle question — "will this
+/// block be shared during its residency?" — policy-independent: the
+/// oracle's answer at stream position `t` is whether a *different core*
+/// touches the block within the next `window` LLC accesses
+/// ([`Annotations::shared_soon`](crate::Annotations::shared_soon)).
+/// Because the horizon grows with the cache, a larger LLC lets the oracle
+/// protect shared blocks with longer re-reference distances, which is
+/// exactly why the paper's oracle gains are larger at 8 MB than at 4 MB.
+/// With an inclusive hierarchy the LLC reference stream is *not*
+/// policy-independent, so the answers are an approximation there — the
+/// `abl2` ablation quantifies the effect.
 pub fn oracle_window(config: &HierarchyConfig) -> u64 {
     4 * config.llc.lines()
 }
 
 /// Observer recording every LLC access (block, core, PC, kind) plus the
 /// interleaved coherence upgrades, in stream order — everything a
-/// [`crate::replay::replay`] run needs to reproduce the LLC
-/// bit-identically.
+/// [`crate::replay::run`] needs to reproduce the LLC bit-identically.
 #[derive(Debug, Default)]
 pub struct StreamRecorder {
     /// One entry per LLC access.
@@ -418,7 +349,7 @@ impl LlcObserver for StreamRecorder {
 ///
 /// Annotation vectors are held behind [`Arc`] so set-sharded replays can
 /// hand every shard its own provider without cloning megabytes of
-/// annotations (see [`crate::replay::replay_sharded`]).
+/// annotations (see [`crate::replay::Exec::Shards`]).
 #[derive(Debug, Clone)]
 pub struct NextUseProvider {
     next_use: Arc<Vec<u64>>,
@@ -512,23 +443,6 @@ impl AuxProvider for CombinedProvider {
     }
 }
 
-/// Convenience: runs a policy (including OPT) with no observers.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn run_simple<W, F>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    make_trace: &mut F,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    simulate_kind(config, kind, make_trace, vec![])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +493,8 @@ mod tests {
             vec![&mut rec],
         )
         .expect("run");
-        let next = compute_next_use(&c, make(App::Water)()).expect("pre-pass");
+        let stream = record_stream(&c, make(App::Water)()).expect("record");
+        let next = compute_annotations(&stream, 0).next_use;
         assert_eq!(next.len(), rec.blocks.len());
         for (i, &n) in next.iter().enumerate() {
             if n != u64::MAX {
@@ -654,7 +569,8 @@ mod tests {
         )
         .expect("run");
         let window = 64u64;
-        let fast = compute_shared_soon(&c, make(App::Dedup)(), window).expect("pre-pass");
+        let stream = record_stream(&c, make(App::Dedup)()).expect("record");
+        let fast = compute_annotations(&stream, window).shared_soon;
         assert_eq!(fast.len(), rec.blocks.len());
         // Brute force on a prefix (quadratic).
         let n = rec.blocks.len().min(3000);

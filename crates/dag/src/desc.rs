@@ -1,14 +1,17 @@
 //! Replay descriptors: the "policy parameters" axis of a replay node.
 //!
 //! A [`ReplayDesc`] names everything a per-policy replay depends on
-//! *besides* the stream: the base [`PolicyKind`] and, for oracle-wrapped
-//! runs, the [`ProtectMode`] and the **resolved** retention window.
+//! *besides* the stream: the base [`PolicyKind`] and the wrapper around
+//! it — none, the sharing-aware oracle (with its [`ProtectMode`] and
+//! **resolved** retention window), reactive directory-driven protection,
+//! or a fill-time sharing predictor ([`PredictorKind`]).
 //! Callers must resolve defaulted windows (`oracle_window(config)`)
 //! before building a descriptor — a descriptor never stores "default",
 //! so the same effective run always maps to the same fingerprint no
 //! matter how it was spelled.
 
 use llc_policies::{PolicyKind, ProtectMode};
+use llc_predictors::PredictorKind;
 
 use crate::fingerprint::Fold;
 
@@ -25,6 +28,12 @@ pub enum ReplayWrap {
         /// The resolved retention window, in LLC accesses.
         window: u64,
     },
+    /// Reactive protection: lines whose current generation is already
+    /// shared are protected (directory state only, no prediction).
+    Reactive,
+    /// Protection driven by a realistic fill-time sharing predictor at
+    /// its realistic table budget.
+    Predictor(PredictorKind),
 }
 
 /// Everything a per-policy replay depends on besides the stream.
@@ -73,11 +82,28 @@ impl ReplayDesc {
         }
     }
 
+    /// Reactive (directory-driven) protection around `base`.
+    pub fn reactive(base: PolicyKind) -> ReplayDesc {
+        ReplayDesc {
+            kind: base,
+            wrap: ReplayWrap::Reactive,
+        }
+    }
+
+    /// Predictor-driven protection around `base`.
+    pub fn predictor(base: PolicyKind, predictor: PredictorKind) -> ReplayDesc {
+        ReplayDesc {
+            kind: base,
+            wrap: ReplayWrap::Predictor(predictor),
+        }
+    }
+
     /// Stable fingerprint of the descriptor alone (fold it into
     /// [`crate::replay_fp`] with the stream fingerprint to address the
     /// replay node). Folds the policy label rather than the enum
-    /// discriminant so reordering `PolicyKind` variants cannot silently
-    /// re-key every stored replay.
+    /// discriminant (likewise the predictor's label) so reordering
+    /// `PolicyKind` or `PredictorKind` variants cannot silently re-key
+    /// every stored replay.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fold::new(0x4c4c_4344_4453_4331); // "LLCDDSC1"
         f.str(self.kind.label());
@@ -88,12 +114,19 @@ impl ReplayDesc {
             ReplayWrap::Oracle { mode, window } => {
                 f.u64(1).u64(mode_code(mode)).u64(window);
             }
+            ReplayWrap::Reactive => {
+                f.u64(2);
+            }
+            ReplayWrap::Predictor(predictor) => {
+                f.u64(3).str(predictor.label());
+            }
         }
         f.finish()
     }
 
     /// Human-readable descriptor label for plans and `repro explain`
-    /// output, e.g. `LRU` or `oracle(LRU, evict, w=4096)`.
+    /// output, e.g. `LRU`, `oracle(LRU, evict, w=4096)`, `reactive(LRU)`
+    /// or `predictor(LRU, PC+Phase)`.
     pub fn label(&self) -> String {
         match self.wrap {
             ReplayWrap::Plain => self.kind.label().to_string(),
@@ -102,18 +135,23 @@ impl ReplayDesc {
                 self.kind.label(),
                 mode_label(mode)
             ),
+            ReplayWrap::Reactive => format!("reactive({})", self.kind.label()),
+            ReplayWrap::Predictor(predictor) => {
+                format!("predictor({}, {predictor})", self.kind.label())
+            }
         }
     }
 
     /// The annotation window this replay needs, if any: oracle wraps
-    /// need the shared-soon vector for their window, and a bare OPT
+    /// need the shared-soon vector for their window, and any other OPT
     /// replay needs the next-use chains (window 0 — the next-use vector
-    /// is window-independent). Plain realistic policies need none.
+    /// is window-independent). Realistic policies under any other
+    /// wrapper need none.
     pub fn annotation_window(&self) -> Option<u64> {
         match self.wrap {
             ReplayWrap::Oracle { window, .. } => Some(window),
-            ReplayWrap::Plain if self.kind == PolicyKind::Opt => Some(0),
-            ReplayWrap::Plain => None,
+            _ if self.kind == PolicyKind::Opt => Some(0),
+            _ => None,
         }
     }
 }
@@ -155,6 +193,33 @@ mod tests {
             base.fingerprint(),
             ReplayDesc::plain(PolicyKind::Lru).fingerprint()
         );
+        let reactive = ReplayDesc::reactive(PolicyKind::Lru).fingerprint();
+        let predicted = ReplayDesc::predictor(PolicyKind::Lru, PredictorKind::Pc).fingerprint();
+        assert_ne!(reactive, ReplayDesc::plain(PolicyKind::Lru).fingerprint());
+        assert_ne!(reactive, predicted);
+        assert_ne!(
+            predicted,
+            ReplayDesc::predictor(PolicyKind::Lru, PredictorKind::Address).fingerprint()
+        );
+        assert_ne!(
+            predicted,
+            ReplayDesc::predictor(PolicyKind::Srrip, PredictorKind::Pc).fingerprint()
+        );
+    }
+
+    /// Descriptor fingerprints key replay nodes on disk: these values
+    /// were produced by the scheme that wrote existing stores, so a
+    /// change here would orphan every stored replay.
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            ReplayDesc::plain(PolicyKind::Lru).fingerprint(),
+            0x7fb3_b425_eae1_9f9c
+        );
+        assert_eq!(
+            ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, 4096).fingerprint(),
+            0x892a_4ae0_5338_bb0b
+        );
     }
 
     #[test]
@@ -168,22 +233,44 @@ mod tests {
             ReplayDesc::oracle(PolicyKind::Srrip, ProtectMode::Both, 77).annotation_window(),
             Some(77)
         );
+        assert_eq!(
+            ReplayDesc::reactive(PolicyKind::Lru).annotation_window(),
+            None
+        );
+        assert_eq!(
+            ReplayDesc::predictor(PolicyKind::Opt, PredictorKind::Pc).annotation_window(),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn labels_name_the_wrapper() {
+        assert_eq!(
+            ReplayDesc::reactive(PolicyKind::Lru).label(),
+            "reactive(LRU)"
+        );
+        assert_eq!(
+            ReplayDesc::predictor(PolicyKind::Lru, PredictorKind::PcPhase).label(),
+            "predictor(LRU, PC+Phase)"
+        );
     }
 
     proptest! {
         /// All distinct descriptors get distinct fingerprints across the
-        /// sampled space (kinds × wrap × modes × windows).
+        /// sampled space (kinds × wrappers × modes × windows × predictors).
         #[test]
         fn fingerprints_are_injective_over_sampled_space(
-            lhs in (0usize..KINDS.len(), 0usize..MODES.len(), 0u64..1024, proptest::bool::ANY),
-            rhs in (0usize..KINDS.len(), 0usize..MODES.len(), 0u64..1024, proptest::bool::ANY),
+            lhs in (0usize..KINDS.len(), 0usize..MODES.len(), 0u64..1024, 0usize..4),
+            rhs in (0usize..KINDS.len(), 0usize..MODES.len(), 0u64..1024, 0usize..4),
         ) {
-            let mk = |(k, m, w, oracle): (usize, usize, u64, bool)| {
-                if oracle {
-                    ReplayDesc::oracle(KINDS[k], MODES[m], w)
-                } else {
-                    ReplayDesc::plain(KINDS[k])
-                }
+            let mk = |(k, m, w, wrap): (usize, usize, u64, usize)| match wrap {
+                0 => ReplayDesc::plain(KINDS[k]),
+                1 => ReplayDesc::oracle(KINDS[k], MODES[m], w),
+                2 => ReplayDesc::reactive(KINDS[k]),
+                _ => ReplayDesc::predictor(
+                    KINDS[k],
+                    PredictorKind::ALL[w as usize % PredictorKind::ALL.len()],
+                ),
             };
             let (a, b) = (mk(lhs), mk(rhs));
             prop_assert_eq!(a == b, a.fingerprint() == b.fingerprint());

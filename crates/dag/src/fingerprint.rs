@@ -88,6 +88,14 @@ pub fn replay_fp(stream_fp: u64, desc_fp: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// The FNV-1a reference vectors (offset basis, and one byte): every
+    /// stored fingerprint folds labels through this function.
+    #[test]
+    fn fnv1a64_matches_reference_values() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
     #[test]
     fn chains_are_order_sensitive_and_seed_separated() {
         assert_ne!(

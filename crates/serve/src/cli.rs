@@ -710,8 +710,13 @@ fn run_ingest(
             "ingest replay",
             &["policy", "llc_accesses", "llc_hits", "llc_misses", "mpki"],
         );
-        for kind in llc_policies::PolicyKind::REALISTIC {
-            let r = llc_sharing::replay_kind(&config, kind, &stream, vec![])?;
+        let kinds = llc_policies::PolicyKind::REALISTIC;
+        let lineup: Vec<llc_sharing::ReplayDesc> = kinds
+            .iter()
+            .map(|&kind| llc_sharing::ReplayDesc::plain(kind))
+            .collect();
+        let results = llc_sharing::run(&config, &lineup, &stream, llc_sharing::Exec::Auto)?;
+        for (kind, r) in kinds.into_iter().zip(results) {
             let mpki = r.llc.misses() as f64 * 1000.0 / r.instructions.max(1) as f64;
             table.row(vec![
                 kind.label().to_string(),

@@ -30,12 +30,13 @@ use std::net::TcpStream;
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
+use llc_dag::fnv1a64;
 use llc_sharing::json::{self, Value};
 use llc_telemetry::metrics::{global, Counter};
 
 use crate::http::parse_response_full;
 use crate::jobs::JobId;
-use crate::spec::{fnv1a64, JobSpec};
+use crate::spec::JobSpec;
 use crate::{io_err, ServeError};
 
 static RETRIES: LazyLock<std::sync::Arc<Counter>> = LazyLock::new(|| {
@@ -377,6 +378,17 @@ pub fn job_id_of(doc: &Value) -> Result<JobId, ServeError> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that move the process-global `RETRIES`
+    /// counter, so one test's retries never land inside another's
+    /// before/after window.
+    static RETRY_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn retry_counter() -> std::sync::MutexGuard<'static, ()> {
+        RETRY_COUNTER
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn backoff_grows_is_jittered_and_capped() {
         let policy = RetryPolicy::default();
@@ -396,6 +408,7 @@ mod tests {
 
     #[test]
     fn retries_connect_failures_until_budget_then_reports_io() {
+        let _counter = retry_counter();
         // Nothing listens on this port (bound-then-dropped).
         let addr = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -415,6 +428,7 @@ mod tests {
 
     #[test]
     fn honors_retry_after_from_429_then_succeeds() {
+        let _counter = retry_counter();
         use std::io::{Read as _, Write as _};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();

@@ -2,6 +2,7 @@
 //! validation, and the stable fingerprint that content-addresses the
 //! resulting tables in the persistent store.
 
+use llc_dag::fnv1a64;
 use llc_sharing::json::{self, Value};
 use llc_sharing::{ExperimentCtx, ExperimentId};
 use llc_trace::{App, Scale};
@@ -253,17 +254,6 @@ impl JobSpec {
             ctx.apps.len()
         )
     }
-}
-
-/// FNV-1a over a byte string — stable, dependency-free hashing for
-/// fingerprint inputs.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Set-range shard indices over a [`RecordedStream`].
+//! Set-range shard indices over a [`RecordedStream`](crate::RecordedStream).
 //!
 //! LLC sets do not interact during non-inclusive replay, so the recorded
 //! reference stream can be partitioned by set index and each partition
@@ -32,7 +32,7 @@ use llc_sim::{AccessKind, BlockAddr, CoreId, Pc};
 /// count)`. Stream representations that carry their own slot (see
 /// [`StreamAccess::shard_slot`]) let sharded replay share one index
 /// build per shard count across concurrent policies without any global
-/// registry; `llc_sharing::replay` keeps the same map type behind its
+/// registry; `llc_sharing`'s replay module keeps the same map type behind its
 /// allocation-identity registry for owned streams.
 pub type ShardIndexSlot = Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>;
 
@@ -59,7 +59,8 @@ pub struct StreamShard {
     pub kinds: Vec<AccessKind>,
 }
 
-/// Per-set-range access/upgrade index lists over one [`RecordedStream`],
+/// Per-set-range access/upgrade index lists over one
+/// [`RecordedStream`](crate::RecordedStream),
 /// for one (set count, shard count) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardIndex {
@@ -75,7 +76,8 @@ impl ShardIndex {
     /// even as possible (sizes differ by at most one set). Every access and
     /// upgrade lands in exactly one shard, so the concatenation of the
     /// per-shard lists is a permutation of the stream — the property the
-    /// deterministic merge in `llc_sharing::replay_sharded` relies on.
+    /// deterministic merge of set-sharded replay (`llc_sharing::run` with
+    /// `Exec::Shards`) relies on.
     ///
     /// Returns `None` if the stream is too large to index with `u32`
     /// positions; callers must then use the sequential path.

@@ -34,8 +34,8 @@ use crate::stream::{
 
 /// A validated, zero-copy view over one loaded `.llcs` arena.
 ///
-/// Implements [`StreamAccess`], so every replay driver in
-/// `llc_sharing::replay` accepts a view wherever it accepts an owned
+/// Implements [`StreamAccess`], so `llc_sharing::run` (and the bare
+/// `llc_sharing::replay_on` loop) accepts a view wherever it accepts an owned
 /// [`RecordedStream`] — bit-identically (property-tested in
 /// `tests/replay_equivalence.rs`). The view also carries its own
 /// shard-index slot, so concurrent sharded replays of the same view

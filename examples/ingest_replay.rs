@@ -19,7 +19,7 @@ use sharing_aware_llc::ingest::{
     export_champsim_csv, ingest_fingerprint, IngestFormat, IngestSource,
 };
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{record_stream, replay_kind};
+use sharing_aware_llc::sharing::{record_stream, run, Exec, ReplayDesc};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::args()
@@ -51,8 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n  {:<10} {:>10} {:>10} {:>8}",
         "policy", "hits", "misses", "mpki"
     );
-    for kind in PolicyKind::REALISTIC {
-        let r = replay_kind(&cfg, kind, &stream, vec![])?;
+    let lineup = PolicyKind::REALISTIC.map(ReplayDesc::plain);
+    let results = run(&cfg, &lineup, &stream, Exec::Auto)?;
+    for (kind, r) in PolicyKind::REALISTIC.into_iter().zip(results) {
         println!(
             "  {:<10} {:>10} {:>10} {:>8.2}",
             kind.label(),

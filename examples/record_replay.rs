@@ -12,7 +12,7 @@
 //! the same mechanism behind `repro serve`'s stream store.
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{replay_kind, StreamCache, StreamKey, WorkloadId};
+use sharing_aware_llc::sharing::{run, Exec, ReplayDesc, StreamCache, StreamKey, WorkloadId};
 use sharing_aware_llc::trace::{StreamAccess, StreamStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -94,7 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut || app.workload(cfg.cores, Scale::Tiny),
         vec![],
     )?;
-    let replayed = replay_kind(&cfg, PolicyKind::Lru, &restored, vec![])?;
+    let lru = [ReplayDesc::plain(PolicyKind::Lru)];
+    let replayed = run(&cfg, &lru, &restored, Exec::Auto)?.remove(0);
     println!("live run   : {}", live.llc);
     println!("replay run : {}", replayed.llc);
     assert_eq!(live.llc, replayed.llc, "replay must be bit-identical");

@@ -174,10 +174,17 @@ fn oracle_cannot_improve_opt() {
         .expect("run")
         .llc
         .misses();
-    let wrapped = llc_sharing::simulate_oracle_opt(&cfg, &mut make, vec![])
-        .expect("run")
-        .llc
-        .misses();
+    let wrapped = simulate_oracle(
+        &cfg,
+        PolicyKind::Opt,
+        ProtectMode::Eviction,
+        None,
+        &mut make,
+        vec![],
+    )
+    .expect("run")
+    .llc
+    .misses();
     assert!(
         wrapped >= opt,
         "wrapping OPT cannot reduce misses ({wrapped} < {opt})"

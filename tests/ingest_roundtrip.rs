@@ -9,7 +9,7 @@ use sharing_aware_llc::ingest::{
     export_champsim_csv, write_binary_trace, IngestFormat, IngestSource,
 };
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{record_stream, replay_kind};
+use sharing_aware_llc::sharing::{record_stream, run, Exec, ReplayDesc};
 use sharing_aware_llc::trace::VecSource;
 
 fn tiny_cfg() -> HierarchyConfig {
@@ -87,8 +87,9 @@ proptest! {
             // Same stream bytes in, same replay out — assert it anyway on
             // the replayed stats so a stream-equality regression cannot
             // hide behind a lenient PartialEq.
-            let a = replay_kind(&cfg, PolicyKind::Lru, &native, vec![]).expect("replay native");
-            let b = replay_kind(&cfg, PolicyKind::Lru, &ingested, vec![]).expect("replay ingested");
+            let lru = [ReplayDesc::plain(PolicyKind::Lru)];
+            let a = run(&cfg, &lru, &native, Exec::Auto).expect("replay native").remove(0);
+            let b = run(&cfg, &lru, &ingested, Exec::Auto).expect("replay ingested").remove(0);
             prop_assert_eq!(a.llc, b.llc);
             prop_assert_eq!(a.instructions, b.instructions);
             prop_assert_eq!(a.trace_accesses, b.trace_accesses);

@@ -4,15 +4,54 @@
 //! of events per replay regardless of stream length.
 //!
 //! This lives in its own integration-test binary (its own process) so no
-//! concurrently running test can flip the process-global span switch
-//! under the assertions.
+//! test elsewhere can flip the process-global span switch under the
+//! assertions, and the two tests here — which both flip it — take turns
+//! through [`exclusive_spans`].
+
+use std::sync::{Mutex, MutexGuard};
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{record_stream, replay_kind};
+use sharing_aware_llc::sharing::{record_stream, run, Exec, ReplayDesc};
 use sharing_aware_llc::telemetry::spans;
+
+/// Serializes the tests that flip the span switch.
+static SPAN_SWITCH: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the span switch for one test: holds [`SPAN_SWITCH`]
+/// (recovering it if an earlier holder panicked) and switches spans
+/// back off on drop, so a failing assertion cannot leave them enabled
+/// for the next test.
+struct SpanGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        spans::set_enabled(false);
+    }
+}
+
+fn exclusive_spans() -> SpanGuard {
+    SpanGuard {
+        _lock: SPAN_SWITCH
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()),
+    }
+}
+
+fn replay_lru<S: sharing_aware_llc::trace::StreamAccess + Sync>(
+    cfg: &HierarchyConfig,
+    stream: &S,
+) -> RunResult {
+    let lru = [ReplayDesc::plain(PolicyKind::Lru)];
+    run(cfg, &lru, stream, Exec::Auto)
+        .expect("replay")
+        .remove(0)
+}
 
 #[test]
 fn disabled_telemetry_is_zero_atomics_per_replay_access() {
+    let _spans = exclusive_spans();
     let cfg = HierarchyConfig::tiny();
     let small = record_stream(&cfg, App::Bodytrack.workload(cfg.cores, Scale::Tiny))
         .expect("record small stream");
@@ -30,8 +69,8 @@ fn disabled_telemetry_is_zero_atomics_per_replay_access() {
     // matter how many accesses it drives.
     assert!(!spans::enabled(), "spans must start disabled");
     let before = spans::event_count();
-    let run = replay_kind(&cfg, PolicyKind::Lru, &large, vec![]).expect("replay");
-    assert!(run.llc.accesses > 0);
+    let result = replay_lru(&cfg, &large);
+    assert!(result.llc.accesses > 0);
     assert_eq!(
         spans::event_count(),
         before,
@@ -42,10 +81,10 @@ fn disabled_telemetry_is_zero_atomics_per_replay_access() {
     // a stream twice the length buffers exactly as many events.
     spans::set_enabled(true);
     let before = spans::event_count();
-    replay_kind(&cfg, PolicyKind::Lru, &small, vec![]).expect("replay small");
+    replay_lru(&cfg, &small);
     let per_small = spans::event_count() - before;
     let before = spans::event_count();
-    replay_kind(&cfg, PolicyKind::Lru, &large, vec![]).expect("replay large");
+    replay_lru(&cfg, &large);
     let per_large = spans::event_count() - before;
     spans::set_enabled(false);
     assert_eq!(
@@ -64,6 +103,7 @@ fn disabled_telemetry_is_zero_atomics_per_record_access() {
     // and one span per *recording*, never per trace record. With spans
     // disabled a recording buffers nothing; enabled, a trace twice the
     // length buffers exactly as many events.
+    let _spans = exclusive_spans();
     let cfg = HierarchyConfig::tiny();
     assert!(!spans::enabled(), "spans must start disabled");
     let before = spans::event_count();

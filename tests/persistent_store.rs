@@ -3,7 +3,7 @@
 //! "runs", and the corruption → typed error → re-record fallback.
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{replay_kind, StreamCache, StreamKey, WorkloadId};
+use sharing_aware_llc::sharing::{run, Exec, ReplayDesc, StreamCache, StreamKey, WorkloadId};
 use sharing_aware_llc::trace::StreamStore;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -84,7 +84,14 @@ fn llcs_files_round_trip_and_replay_identically() {
         vec![],
     )
     .expect("live run");
-    let replayed = replay_kind(&cfg, PolicyKind::Lru, &loaded, vec![]).expect("replay");
+    let replayed = run(
+        &cfg,
+        &[ReplayDesc::plain(PolicyKind::Lru)],
+        &loaded,
+        Exec::Auto,
+    )
+    .expect("replay")
+    .remove(0);
     assert_eq!(live.llc, replayed.llc, "replay from disk is bit-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }

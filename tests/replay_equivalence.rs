@@ -12,15 +12,37 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use llc_sharing::{
-    compute_annotations, oracle_window, record_stream, replay, replay_kind, replay_kind_sharded,
-    replay_oracle, simulate, simulate_opt, simulate_oracle, CombinedProvider, NextUseProvider,
-    OracleProvider,
+    compute_annotations, oracle_window, record_stream, replay_on, run, simulate, simulate_opt,
+    simulate_oracle, CombinedProvider, Exec, NextUseProvider, OracleProvider, ReplayDesc,
 };
 use llc_sim::{AccessCtx, AuxProvider, LiveGeneration};
 use proptest::prelude::*;
 use sharing_aware_llc::policies::build_oracle_policy_with_mode;
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::trace::VecSource;
+use sharing_aware_llc::trace::{StreamAccess, VecSource};
+
+/// Replays one descriptor through the descriptor-driven entry point.
+fn replay_desc<S: StreamAccess + Sync>(
+    cfg: &HierarchyConfig,
+    desc: ReplayDesc,
+    stream: &S,
+) -> RunResult {
+    run(cfg, &[desc], stream, Exec::Auto)
+        .expect("replay")
+        .remove(0)
+}
+
+/// Replays a boxed policy through the bare loop — the `Box<dyn>` path
+/// external policies take, and the reference the monomorphized
+/// dispatch is checked against.
+fn replay_dyn<S: StreamAccess>(
+    cfg: &HierarchyConfig,
+    policy: Box<dyn ReplacementPolicy>,
+    aux: Option<Box<dyn AuxProvider>>,
+    stream: &S,
+) -> RunResult {
+    replay_on(cfg, policy, aux, stream, &mut NullObserver).expect("dyn replay")
+}
 
 fn no_l2_cfg() -> HierarchyConfig {
     HierarchyConfig {
@@ -169,7 +191,7 @@ proptest! {
                 let full = simulate(
                     &cfg, build_policy(kind, sets, ways), None,
                     VecSource::new(trace.clone()), vec![]).expect("full run");
-                let fast = replay_kind(&cfg, kind, &stream, vec![]).expect("replay");
+                let fast = replay_desc(&cfg, ReplayDesc::plain(kind), &stream);
                 prop_assert_eq!(full.llc, fast.llc, "kind {}", kind.label());
                 prop_assert_eq!(full.l1, fast.l1);
                 prop_assert_eq!(full.l2, fast.l2);
@@ -220,10 +242,28 @@ proptest! {
                 vec![],
             ).expect("legacy oracle run");
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-            let fast = replay_oracle(
-                &cfg, base, ProtectMode::Eviction, None, &stream, vec![]).expect("oracle replay");
+            let fast = replay_desc(
+                &cfg, ReplayDesc::oracle(base, ProtectMode::Eviction, window), &stream);
             prop_assert_eq!(full.llc, fast.llc, "base {}", base.label());
         }
+    }
+
+    /// The fused backward scan reproduces the independent legacy scans
+    /// exactly, over random traces and random retention windows
+    /// (including window 0 and windows longer than the stream).
+    #[test]
+    fn fused_annotations_match_legacy_scans(
+        trace in trace_strategy(500),
+        window in 0u64..700,
+    ) {
+        let cfg = no_l2_cfg();
+        let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
+        let ann = compute_annotations(&stream, window);
+        prop_assert_eq!(ann.next_use, legacy_next_use(&stream.blocks));
+        prop_assert_eq!(
+            ann.shared_soon,
+            legacy_shared_soon(&stream.blocks, &stream.cores, window)
+        );
     }
 }
 
@@ -264,9 +304,9 @@ fn fixed_trace(len: usize, blocks: u64) -> Vec<MemAccess> {
         .collect()
 }
 
-/// The monomorphized drivers (`replay_kind`, dispatched per `PolicyKind`
-/// through `with_policy!`) are bit-identical to the `Box<dyn>`
-/// compatibility path (`replay` over `build_policy`) for **every** kind.
+/// The monomorphized dispatch (`run`, resolved per `PolicyKind` through
+/// `with_policy!`) is bit-identical to the `Box<dyn>` path (`replay_on`
+/// over `build_policy`) for **every** kind.
 #[test]
 fn monomorphized_replay_matches_dyn_for_every_kind() {
     let cfg = no_l2_cfg();
@@ -280,15 +320,14 @@ fn monomorphized_replay_matches_dyn_for_every_kind() {
                 compute_annotations(&stream, 0).next_use,
             )) as Box<dyn AuxProvider>
         });
-        let dyn_run =
-            replay(&cfg, build_policy(kind, sets, ways), aux, &stream, vec![]).expect("dyn replay");
-        let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
+        let dyn_run = replay_dyn(&cfg, build_policy(kind, sets, ways), aux, &stream);
+        let mono_run = replay_desc(&cfg, ReplayDesc::plain(kind), &stream);
         assert_eq!(dyn_run.llc, mono_run.llc, "kind {}", kind.label());
         assert_eq!(dyn_run.policy, mono_run.policy, "kind {}", kind.label());
     }
 }
 
-/// Same differential, oracle-wrapped: the monomorphized `replay_oracle`
+/// Same differential, oracle-wrapped: the monomorphized oracle descriptor
 /// matches the boxed `build_oracle_policy_with_mode` path for every base
 /// kind (including OPT, which consumes both annotation vectors).
 #[test]
@@ -309,23 +348,17 @@ fn monomorphized_oracle_matches_dyn_for_every_base() {
         } else {
             Box::new(OracleProvider::new(ann.shared_soon.clone()))
         };
-        let dyn_run = replay(
+        let dyn_run = replay_dyn(
             &cfg,
             build_oracle_policy_with_mode(base, sets, ways, ProtectMode::Eviction),
             Some(aux),
             &stream,
-            vec![],
-        )
-        .expect("dyn oracle replay");
-        let mono_run = replay_oracle(
+        );
+        let mono_run = replay_desc(
             &cfg,
-            base,
-            ProtectMode::Eviction,
-            Some(window),
+            ReplayDesc::oracle(base, ProtectMode::Eviction, window),
             &stream,
-            vec![],
-        )
-        .expect("mono oracle replay");
+        );
         assert_eq!(dyn_run.llc, mono_run.llc, "oracle base {}", base.label());
     }
 }
@@ -360,15 +393,16 @@ proptest! {
                 Box::new(NextUseProvider::new(compute_annotations(&stream, 0).next_use))
                     as Box<dyn AuxProvider>
             });
-            let dyn_run = replay(
+            let dyn_run = replay_dyn(
                 &cfg,
                 build_policy(kind, cfg.llc.sets() as usize, ways),
                 aux,
                 &stream,
-                vec![],
-            ).expect("dyn replay");
-            let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
-            let sharded = replay_kind_sharded(&cfg, kind, &stream, shards).expect("sharded");
+            );
+            let mono_run = replay_desc(&cfg, ReplayDesc::plain(kind), &stream);
+            let sharded = run(&cfg, &[ReplayDesc::plain(kind)], &stream, Exec::Shards(shards))
+                .expect("sharded")
+                .remove(0);
             prop_assert_eq!(
                 &dyn_run.llc, &mono_run.llc,
                 "mono vs dyn, kind {} ways {} sets {}", kind.label(), ways, sets);
@@ -474,8 +508,8 @@ fn view_replay_matches_owned_for_every_kind_and_oracle_base() {
     );
 
     for kind in ALL_KINDS {
-        let owned = replay_kind(&cfg, kind, &stream, vec![]).expect("owned replay");
-        let viewed = replay_kind(&cfg, kind, &view, vec![]).expect("view replay");
+        let owned = replay_desc(&cfg, ReplayDesc::plain(kind), &stream);
+        let viewed = replay_desc(&cfg, ReplayDesc::plain(kind), &view);
         assert_eq!(owned.llc, viewed.llc, "kind {}", kind.label());
         assert_eq!(owned.policy, viewed.policy, "kind {}", kind.label());
         assert_eq!(owned.l1, viewed.l1, "kind {}", kind.label());
@@ -489,10 +523,9 @@ fn view_replay_matches_owned_for_every_kind_and_oracle_base() {
     }
     for base in ALL_KINDS {
         for mode in [ProtectMode::Eviction, ProtectMode::Insertion] {
-            let owned = replay_oracle(&cfg, base, mode, Some(window), &stream, vec![])
-                .expect("owned oracle replay");
-            let viewed = replay_oracle(&cfg, base, mode, Some(window), &view, vec![])
-                .expect("view oracle replay");
+            let oracle = ReplayDesc::oracle(base, mode, window);
+            let owned = replay_desc(&cfg, oracle, &stream);
+            let viewed = replay_desc(&cfg, oracle, &view);
             assert_eq!(
                 owned.llc,
                 viewed.llc,
@@ -521,8 +554,8 @@ proptest! {
         prop_assert_eq!(owned_ann.next_use, view_ann.next_use);
         prop_assert_eq!(owned_ann.shared_soon, view_ann.shared_soon);
         for kind in [PolicyKind::Lru, PolicyKind::Opt] {
-            let owned = replay_kind(&cfg, kind, &stream, vec![]).expect("owned replay");
-            let viewed = replay_kind(&cfg, kind, &view, vec![]).expect("view replay");
+            let owned = replay_desc(&cfg, ReplayDesc::plain(kind), &stream);
+            let viewed = replay_desc(&cfg, ReplayDesc::plain(kind), &view);
             prop_assert_eq!(owned.llc, viewed.llc, "kind {}", kind.label());
         }
     }

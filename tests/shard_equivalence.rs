@@ -1,21 +1,20 @@
 //! The set-sharded replay invariant: sharding a replay over set ranges
 //! must be **bit-identical** to the sequential replay — same `LlcStats`,
-//! same policy label, same characterization tables — for every per-set
-//! policy, and Global-scope policies must transparently fall back to the
-//! sequential path with identical results.
+//! same policy label — for every per-set policy, and Global-scope
+//! policies must transparently fall back to the sequential path with
+//! identical results.
 //!
-//! Baselines use an explicit shard count of 1 (`replay_*_sharded(.., 1)`
-//! is documented to take the sequential path), so these tests stay
-//! deterministic even while the donated-worker budget test below is
-//! running in a sibling thread.
+//! `donated_budget_auto_shards_and_stays_exact` donates workers to the
+//! process-global `budget` pool, and `Exec::Auto` borrows from that
+//! pool. So every other test in this binary runs with an explicit
+//! `Exec::Shards(n)` — never `Exec::Auto` — with `Exec::Shards(1)` (the
+//! sequential path) as its baseline, and stays deterministic while the
+//! donation test runs in a sibling thread.
 
 use std::sync::Arc;
 
-use llc_sharing::{
-    budget, record_stream, replay_characterized_sharded, replay_kind, replay_kind_sharded,
-    replay_opt, replay_oracle_sharded,
-};
-use llc_sim::{EvictCause, LlcStats};
+use llc_sharing::{budget, oracle_window, record_stream, run, Exec, ReplayDesc, RunResult};
+use llc_sim::LlcStats;
 use proptest::prelude::*;
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::trace::VecSource;
@@ -57,6 +56,19 @@ const ALL_KINDS: [PolicyKind; 12] = [
     PolicyKind::Opt,
 ];
 
+/// Replays every descriptor of `lineup` at an explicit shard count.
+fn run_sharded<S>(
+    cfg: &HierarchyConfig,
+    lineup: &[ReplayDesc],
+    stream: &S,
+    shards: usize,
+) -> Vec<RunResult>
+where
+    S: sharing_aware_llc::trace::StreamAccess + Sync,
+{
+    run(cfg, lineup, stream, Exec::Shards(shards)).expect("replay")
+}
+
 /// Random multi-threaded traces over a small block universe, so sets
 /// conflict, sharing happens, and upgrades occur.
 fn trace_strategy(len: usize) -> impl Strategy<Value = Vec<MemAccess>> {
@@ -87,16 +99,16 @@ proptest! {
     /// transparent sequential fallback and must also be identical.
     #[test]
     fn sharded_replay_is_bit_identical(trace in trace_strategy(500)) {
+        let lineup: Vec<ReplayDesc> = ALL_KINDS.iter().map(|&k| ReplayDesc::plain(k)).collect();
         for cfg in [cfg_8_sets(), cfg_16_sets()] {
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
             let sets = cfg.llc.sets() as usize;
-            for kind in ALL_KINDS {
-                let seq = replay_kind_sharded(&cfg, kind, &stream, 1).expect("sequential");
-                for shards in [2usize, 7, sets] {
-                    let sharded =
-                        replay_kind_sharded(&cfg, kind, &stream, shards).expect("sharded");
+            let seq = run_sharded(&cfg, &lineup, &stream, 1);
+            for shards in [2usize, 7, sets] {
+                let sharded = run_sharded(&cfg, &lineup, &stream, shards);
+                for ((kind, seq), sharded) in ALL_KINDS.iter().zip(&seq).zip(&sharded) {
                     prop_assert_eq!(
-                        &seq, &sharded,
+                        seq, sharded,
                         "kind {} at {} shards over {} sets", kind.label(), shards, sets
                     );
                 }
@@ -111,13 +123,13 @@ proptest! {
         let cfg = cfg_8_sets();
         let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
         let sets = cfg.llc.sets() as usize;
+        let window = oracle_window(&cfg);
         for base in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
             for mode in [ProtectMode::Eviction, ProtectMode::Insertion] {
-                let seq = replay_oracle_sharded(&cfg, base, mode, None, &stream, 1)
-                    .expect("sequential oracle");
+                let oracle = [ReplayDesc::oracle(base, mode, window)];
+                let seq = run_sharded(&cfg, &oracle, &stream, 1);
                 for shards in [2usize, sets] {
-                    let sharded = replay_oracle_sharded(&cfg, base, mode, None, &stream, shards)
-                        .expect("sharded oracle");
+                    let sharded = run_sharded(&cfg, &oracle, &stream, shards);
                     prop_assert_eq!(
                         &seq, &sharded,
                         "oracle base {} at {} shards", base.label(), shards
@@ -126,96 +138,10 @@ proptest! {
             }
         }
     }
-
-    /// The characterized sharded replay merges per-shard
-    /// [`SharingProfile`]s into exactly the profile a sequential observer
-    /// run produces (generation counts, hits, occupancy, degree
-    /// histogram, and footprint alike).
-    #[test]
-    fn sharded_characterization_matches_sequential(trace in trace_strategy(400)) {
-        let cfg = cfg_8_sets();
-        let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-        let sets = cfg.llc.sets() as usize;
-        for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt, PolicyKind::Ship] {
-            let (seq_result, seq_profile) =
-                replay_characterized_sharded(&cfg, kind, &stream, 1).expect("sequential");
-            for shards in [2usize, 7, sets] {
-                let (result, profile) =
-                    replay_characterized_sharded(&cfg, kind, &stream, shards).expect("sharded");
-                prop_assert_eq!(&seq_result, &result, "kind {}", kind.label());
-                prop_assert_eq!(&seq_profile, &profile, "kind {}", kind.label());
-            }
-        }
-    }
-}
-
-/// Builds a synthetic finished generation for merge-property tests.
-fn generation(block: u64, sharers: u32, hits: u32, writes: u32) -> GenerationEnd {
-    GenerationEnd {
-        block: BlockAddr::new(block),
-        set: (block % 8) as usize,
-        fill_pc: Pc::new(0x400),
-        fill_core: CoreId::new(0),
-        fill_time: 0,
-        end_time: 100,
-        sharer_mask: (1u32 << sharers.min(8)) - 1,
-        writer_mask: u32::from(writes > 0),
-        hits,
-        hits_by_non_filler: if sharers > 1 { hits } else { 0 },
-        writes,
-        cause: EvictCause::Replacement,
-    }
-}
-
-fn profile_of(gens: &[GenerationEnd]) -> SharingProfile {
-    let mut p = SharingProfile::new();
-    for g in gens {
-        p.on_generation_end(g);
-    }
-    p
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `SharingProfile::merge` is associative and order-insensitive: any
-    /// merge tree over the same disjoint parts equals the profile built
-    /// from all generations directly. (This is what makes the per-shard
-    /// profile merge of `replay_characterized_sharded` exact.)
-    #[test]
-    fn profile_merge_is_associative_and_order_insensitive(
-        gens in prop::collection::vec((0u64..48, 1u32..=8, 0u32..16, 0u32..4), 0..120),
-        cut_a in 0usize..1000,
-        cut_b in 0usize..1000,
-    ) {
-        let gens: Vec<GenerationEnd> =
-            gens.into_iter().map(|(b, s, h, w)| generation(b, s, h, w)).collect();
-        let n = gens.len();
-        let (mut i, mut j) = (cut_a % (n + 1), cut_b % (n + 1));
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-        }
-        let (p1, p2, p3) = (profile_of(&gens[..i]), profile_of(&gens[i..j]), profile_of(&gens[j..]));
-        let whole = profile_of(&gens);
-
-        // Left association, in shard order.
-        let mut left = p1.clone();
-        left.merge(&p2);
-        left.merge(&p3);
-        // Right association.
-        let mut right = p2.clone();
-        right.merge(&p3);
-        let mut right_assoc = p1.clone();
-        right_assoc.merge(&right);
-        // A permuted part order.
-        let mut permuted = p3.clone();
-        permuted.merge(&p1);
-        permuted.merge(&p2);
-
-        prop_assert_eq!(&left, &whole, "left-associated merge != direct profile");
-        prop_assert_eq!(&right_assoc, &whole, "right-associated merge != direct profile");
-        prop_assert_eq!(&permuted, &whole, "permuted merge != direct profile");
-    }
 
     /// `LlcStats` accumulation (`+=`) is associative and commutative, so
     /// summing per-shard stats in any fixed order reproduces the
@@ -271,11 +197,10 @@ proptest! {
     }
 }
 
-/// Donated spare workers make the plain `replay_kind`/`replay_opt` entry
-/// points shard automatically — and the result must still be
-/// bit-identical to the sequential path. (Other tests in this binary use
-/// explicit `replay_*_sharded(.., 1)` baselines, so this test's donation
-/// cannot perturb them.)
+/// Donated spare workers make `Exec::Auto` replays shard automatically —
+/// and the result must still be bit-identical to the sequential path.
+/// (Other tests in this binary use explicit `Exec::Shards(n)`, so this
+/// test's donation cannot perturb them.)
 #[test]
 fn donated_budget_auto_shards_and_stays_exact() {
     let cfg = cfg_16_sets();
@@ -296,14 +221,10 @@ fn donated_budget_auto_shards_and_stays_exact() {
     let stream = Arc::new(stream);
 
     for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        let seq = replay_kind_sharded(&cfg, kind, &stream, 1).expect("sequential");
+        let desc = [ReplayDesc::plain(kind)];
+        let seq = run_sharded(&cfg, &desc, &stream, 1);
         budget::donate(3);
-        let auto = if kind == PolicyKind::Opt {
-            replay_opt(&cfg, &stream, vec![])
-        } else {
-            replay_kind(&cfg, kind, &stream, vec![])
-        }
-        .expect("auto-sharded");
+        let auto = run(&cfg, &desc, &stream, Exec::Auto).expect("auto-sharded");
         // The replay borrows workers for its own duration only; the pool
         // must be whole again afterwards.
         let drained = budget::borrow(usize::MAX);
@@ -348,8 +269,9 @@ fn view_backed_sharded_replay_is_bit_identical() {
     let sets = cfg.llc.sets() as usize;
     for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
         for shards in [1usize, 2, 7, sets] {
-            let owned = replay_kind_sharded(&cfg, kind, &stream, shards).expect("owned sharded");
-            let viewed = replay_kind_sharded(&cfg, kind, &view, shards).expect("view sharded");
+            let desc = [ReplayDesc::plain(kind)];
+            let owned = run_sharded(&cfg, &desc, &stream, shards);
+            let viewed = run_sharded(&cfg, &desc, &view, shards);
             assert_eq!(owned, viewed, "kind {} at {shards} shards", kind.label());
         }
     }

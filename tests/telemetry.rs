@@ -9,7 +9,7 @@
 //! series.
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{json, record_stream, replay_kind, scoped_workers};
+use sharing_aware_llc::sharing::{json, record_stream, run, scoped_workers, Exec, ReplayDesc};
 use sharing_aware_llc::telemetry::metrics::global;
 use sharing_aware_llc::telemetry::spans;
 
@@ -45,7 +45,14 @@ fn replay_phases_feed_the_prometheus_exposition() {
 
     let trace = App::Bodytrack.workload(cfg.cores, Scale::Tiny);
     let stream = record_stream(&cfg, trace).expect("recording a tiny stream succeeds");
-    let result = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![]).expect("replay succeeds");
+    let result = run(
+        &cfg,
+        &[ReplayDesc::plain(PolicyKind::Lru)],
+        &stream,
+        Exec::Auto,
+    )
+    .expect("replay succeeds")
+    .remove(0);
     assert!(result.trace_accesses > 0);
 
     let text = global().encode();
